@@ -2,7 +2,8 @@
 
 Subcommands: train | sample | eval | bench | selfcheck. Exit codes are a
 stable contract: 0 success, 1 check failure, 2 usage/config error, 3 numeric
-abort. LUMINA_MINI_STRICT=1 pins the deterministic reduction order.
+abort (non-finite loss in training, NaN/Inf activations while sampling). A
+fixed seed gives bit-identical outputs; there is no mode switch for it.
 """
 
 from __future__ import annotations
@@ -23,18 +24,17 @@ from .configio import (
     format_config,
     parse_config,
 )
-from .errors import LuminaError, NanLossError
+from .errors import LuminaError, NanLossError, NumericError
 from .evalharness import adherence_eval, inference_ablation
 from .model import load_checkpoint
 from .numerics import save_tensor
 from .sampler import GuidanceConfig, SamplerConfig, sample, write_ppm
 from .synthdata import (
-    apply_system_prompt,
     build_hierarchical_dataset,
     build_vocabulary,
     caption_scene,
+    encode_prompt,
     generate_scene,
-    unconditional_tokens,
 )
 from .trainer import MetricsLog, fresh_state, run_pipeline, save_state
 
@@ -128,7 +128,7 @@ def cmd_sample(argv) -> int:
 
     store, _, _ = load_checkpoint(opts.ckpt)
     vocab = build_vocabulary()
-    tokens = apply_system_prompt(_resolve_prompt(opts, vocab), opts.template, vocab)
+    tokens = encode_prompt(_resolve_prompt(opts, vocab), opts.template, vocab)
     guidance = GuidanceConfig(w=opts.cfg_w, renorm=opts.renorm, trunc_alpha=opts.trunc_alpha)
     sconf = SamplerConfig(
         solver=opts.solver, steps=opts.steps, teacache_delta=opts.teacache_delta
@@ -140,7 +140,7 @@ def cmd_sample(argv) -> int:
         sconf,
         seed=opts.seed,
         resolution=opts.resolution,
-        uncond_tokens=unconditional_tokens(opts.template, vocab),
+        uncond_tokens=encode_prompt([], opts.template, vocab),
     )
     os.makedirs(opts.out, exist_ok=True)
     write_ppm(os.path.join(opts.out, "image.ppm"), image)
@@ -204,7 +204,7 @@ def cmd_bench(argv) -> int:
         steps=opts.steps,
         resolution=opts.resolution,
         teacache_delta=opts.teacache_delta,
-        uncond_tokens=unconditional_tokens("B", vocab),
+        uncond_tokens=encode_prompt([], "B", vocab),
         csv_path=None if opts.out is None else os.path.join(opts.out, "ablation.csv"),
     )
     print(f"{'strategies':34s} {'nfe':>5s} {'skip':>5s} {'wall_ms':>9s} {'mse_vs_ref':>12s}")
@@ -252,7 +252,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return COMMANDS[cmd](rest)
-    except NanLossError as e:
+    except (NanLossError, NumericError) as e:
         print(f"numeric abort: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except LuminaError as e:

@@ -9,14 +9,7 @@ import numpy as np
 
 from ..model.params import ParamStore
 from ..sampler import GuidanceConfig, SamplerConfig, sample_batch
-from ..synthdata import (
-    apply_system_prompt,
-    build_vocabulary,
-    caption_scene,
-    generate_scene,
-    pad_prompt,
-    unconditional_tokens,
-)
+from ..synthdata import build_vocabulary, caption_scene, encode_prompt, generate_scene
 from .classify import classify_image
 
 ADHERENCE_STREAM = 0xADE
@@ -60,16 +53,11 @@ def adherence_eval(
     vocab = build_vocabulary()
     guidance = guidance or GuidanceConfig(w=4.0, renorm=True, trunc_alpha=0.6)
     sconf = sconf or SamplerConfig(solver="euler", steps=10)
-    uncond = pad_prompt(unconditional_tokens(template, vocab), vocab)
+    uncond = encode_prompt([], template, vocab)
 
     scenes = [generate_scene((ADHERENCE_STREAM << 40) + (seed << 20) + i) for i in range(n)]
-    prompts = [
-        pad_prompt(
-            apply_system_prompt(caption_scene(s, granularity, vocab).tokens, template, vocab),
-            vocab,
-        )
-        for s in scenes
-    ]
+    prompts = [encode_prompt(caption_scene(s, granularity, vocab).tokens, template, vocab)
+               for s in scenes]
 
     confusion = {attr: {} for attr in ("color", "shape", "cell")}
     hits = {"color": 0, "shape": 0, "cell": 0, "joint": 0}

@@ -156,16 +156,12 @@ def inference_ablation(
     """Run each strategy set on a fixed prompt list; report NFE, wall time and
     MSE against the plain full-CFG Euler reference at the same seed."""
     if prompts is None:
-        from ..synthdata import apply_system_prompt, caption_scene, generate_scene, pad_prompt
+        from ..synthdata import caption_scene, encode_prompt, generate_scene
 
         vocab = build_vocabulary()
         prompts = [
-            pad_prompt(
-                apply_system_prompt(
-                    caption_scene(generate_scene(1000 + i), "short", vocab).tokens, "B", vocab
-                ),
-                vocab,
-            )
+            encode_prompt(caption_scene(generate_scene(1000 + i), "short", vocab).tokens,
+                          "B", vocab)
             for i in range(2)
         ]
 

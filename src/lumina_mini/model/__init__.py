@@ -1,10 +1,4 @@
-from .blocks import (
-    JointSequence,
-    joint_attention,
-    single_stream_block,
-    timestep_embedding,
-    timestep_embedding_batch,
-)
+from .blocks import timestep_embedding, timestep_embedding_batch
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ModelConfig, count_params, param_shapes, reference_config
 from .ffn_view import attention_as_ffn, cross_attention_direct, dynamic_ffn_weights
@@ -13,7 +7,6 @@ from .params import ParamStore, init_params
 from .rope import apply_mrope, assign_coords, rope_tables
 
 __all__ = [
-    "JointSequence",
     "ModelConfig",
     "ParamStore",
     "apply_mrope",
@@ -25,14 +18,12 @@ __all__ = [
     "forward",
     "forward_batch",
     "init_params",
-    "joint_attention",
     "load_checkpoint",
     "param_shapes",
     "patchify",
     "reference_config",
     "rope_tables",
     "save_checkpoint",
-    "single_stream_block",
     "timestep_embedding",
     "timestep_embedding_batch",
     "unpatchify",

@@ -9,15 +9,13 @@ projection is zero-initialized, so a fresh block is exactly the identity.
 Text-processor blocks run without timestep conditioning: scale = shift = 0,
 gate = 1, a plain sandwich block.
 
-Internals operate on batched [B, L, dim] activations; the public
-``joint_attention`` and ``single_stream_block`` keep the single-sequence
-calling convention.
+Everything operates on batched [B, L, dim] activations; a single sequence is
+a batch of one. Token coordinates are shared across the batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,26 +25,6 @@ from .params import ParamStore
 from .rope import apply_mrope
 
 TIMESTEP_SCALE = 1000.0  # t in [0,1] is spread over [0,1000] before the sinusoid
-
-
-@dataclass
-class JointSequence:
-    """Concatenated text and image-patch embeddings with per-token coordinates."""
-
-    embeddings: Tensor  # [L_text + L_img, dim]
-    coords: np.ndarray  # [L, 3] int triples
-    text_len: int
-    img_hw: tuple  # (rows, cols) in patches
-
-    def __post_init__(self):
-        rows, cols = self.img_hw
-        if self.embeddings.shape[0] != self.text_len + rows * cols:
-            raise UsageError(
-                f"sequence length {self.embeddings.shape[0]} != text {self.text_len} "
-                f"+ image {rows}x{cols}"
-            )
-        if self.coords.shape != (self.embeddings.shape[0], 3):
-            raise UsageError("every token needs exactly one coordinate triple")
 
 
 def timestep_embedding_batch(ts, store: ParamStore) -> Tensor:
@@ -96,13 +74,6 @@ def attention_batch(x: Tensor, coords: np.ndarray, store: ParamStore, prefix: st
     return matmul(out, store[f"{prefix}.attn.wo"])
 
 
-def joint_attention(seq: JointSequence, store: ParamStore, prefix: str) -> Tensor:
-    """Bidirectional attention over one concatenated sequence [L, dim]."""
-    x = seq.embeddings
-    out = attention_batch(x.reshape(1, *x.shape), seq.coords, store, prefix)
-    return out.reshape(x.shape)
-
-
 def _ffn(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
     gate = matmul(x, store[f"{prefix}.ffn.wg"]).silu()
     up = matmul(x, store[f"{prefix}.ffn.wu"])
@@ -145,14 +116,3 @@ def block_batch(
     if t_emb is not None:
         f = f * gate2
     return x + f
-
-
-def single_stream_block(
-    seq: JointSequence, store: ParamStore, prefix: str, t_emb: Tensor | None
-) -> Tensor:
-    """One block over a single sequence; returns embeddings of the same shape."""
-    x = seq.embeddings
-    if t_emb is not None:
-        t_emb = t_emb.reshape(1, store.config.dim)
-    out = block_batch(x.reshape(1, *x.shape), seq.coords, store, prefix, t_emb)
-    return out.reshape(x.shape)

@@ -15,8 +15,6 @@ gradients. ``backward`` does one deterministic reverse-topological sweep.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,23 +25,6 @@ DTYPES = {"f32": np.float32, "f64": np.float64}
 _NP_TO_NAME = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
 _grad_enabled = True
-_matmul_threads = 1
-_pool = None
-
-STRICT_ENV = "LUMINA_MINI_STRICT"
-
-
-def strict_mode() -> bool:
-    """True when the environment pins the fixed single-thread reduction order."""
-    return os.environ.get(STRICT_ENV, "") not in ("", "0")
-
-
-def set_matmul_threads(n: int) -> None:
-    """Enable the optional data-parallel matmul (ignored under strict mode)."""
-    global _matmul_threads, _pool
-    _matmul_threads = max(1, int(n))
-    if _matmul_threads > 1 and _pool is None:
-        _pool = ThreadPoolExecutor(max_workers=_matmul_threads)
 
 
 class no_grad:
@@ -59,33 +40,6 @@ class no_grad:
         global _grad_enabled
         _grad_enabled = self._prev
         return False
-
-
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product; optionally splits the inner dimension across threads.
-
-    The parallel path accumulates partial products in completion order, so
-    f32 results may differ from the strict path by reduction-order noise only.
-    """
-    if (
-        _matmul_threads > 1
-        and not strict_mode()
-        and a.ndim == 2
-        and b.ndim == 2
-        and a.shape[1] >= 4 * _matmul_threads
-    ):
-        k = a.shape[1]
-        bounds = [k * i // _matmul_threads for i in range(_matmul_threads + 1)]
-        futs = [
-            _pool.submit(np.matmul, a[:, lo:hi], b[lo:hi, :])
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        out = None
-        for f in as_completed(futs):
-            part = f.result()
-            out = part if out is None else out + part
-        return out
-    return np.matmul(a, b)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -472,11 +426,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise UsageError(f"dtype mismatch: {a.dtype} vs {b.dtype}")
 
     def bwd(g):
-        ga = _unbroadcast(_mm(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        gb = _unbroadcast(_mm(np.swapaxes(a.data, -1, -2), g), b.shape)
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
         return ga, gb
 
-    return Tensor._from_op(_mm(a.data, b.data), (a, b), "matmul", bwd)
+    return Tensor._from_op(np.matmul(a.data, b.data), (a, b), "matmul", bwd)
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:

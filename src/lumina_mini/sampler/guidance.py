@@ -16,28 +16,19 @@ def cfg_active(g: GuidanceConfig, step_fraction: float) -> bool:
     return g.w != 0.0 and step_fraction < g.trunc_alpha
 
 
-def _renorm(v: np.ndarray, v_c: np.ndarray, scope: str) -> np.ndarray:
-    if scope == "sample":
-        target = np.linalg.norm(v_c.reshape(-1))
-        norm = np.linalg.norm(v.reshape(-1))
-        return v * (target / max(norm, EPS_DIV))
-    # per-token: norms over channels at each spatial position
-    target = np.sqrt((v_c * v_c).sum(axis=0, keepdims=True))
-    norm = np.sqrt((v * v).sum(axis=0, keepdims=True))
-    return v * (target / np.maximum(norm, EPS_DIV))
-
-
 def cfg_combine(
     v_u: np.ndarray,
     v_c: np.ndarray | None,
     g: GuidanceConfig,
     step_fraction: float,
 ) -> np.ndarray:
-    """Guided velocity for one evaluation point.
+    """Guided velocity for one evaluation point, over [..., c, H, W].
 
     Inside the truncation window: v_u + w (v_c - v_u), renormalized to the
     conditional magnitude when requested. Outside it: v_u unchanged, and v_c
-    must not have been evaluated.
+    must not have been evaluated. Renorm norms are taken per image (scope
+    "sample") or per spatial position over channels (scope "token"); leading
+    batch axes never mix.
     """
     if not 0.0 <= step_fraction <= 1.0:
         raise UsageError(f"step_fraction {step_fraction} outside [0, 1]")
@@ -50,5 +41,8 @@ def cfg_combine(
     # w == 1 is exactly the conditional prediction; avoid roundoff there.
     v = v_c if g.w == 1.0 else v_u + g.w * (v_c - v_u)
     if g.renorm:
-        v = _renorm(v, v_c, g.renorm_scope)
+        axes = (-3, -2, -1) if g.renorm_scope == "sample" else (-3,)
+        target = np.sqrt((v_c * v_c).sum(axis=axes, keepdims=True))
+        norm = np.sqrt((v * v).sum(axis=axes, keepdims=True))
+        v = v * (target / np.maximum(norm, EPS_DIV))
     return v

@@ -14,13 +14,12 @@ import time
 import numpy as np
 
 from ..errors import UsageError
-from ..model import forward, timestep_embedding
 from ..model.network import forward_batch
 from ..model.blocks import timestep_embedding_batch
 from ..model.params import ParamStore
 from ..numerics import Tensor, no_grad
 from .config import CacheState, GuidanceConfig, NfeReport, SamplerConfig
-from .guidance import EPS_DIV, cfg_active, cfg_combine
+from .guidance import cfg_active, cfg_combine
 from .solvers import FdpmRecord, fdpm_step, x0_prediction
 from .teacache import COMPUTE, teacache_gate
 
@@ -37,79 +36,13 @@ def sample(
     resolution: int = 32,
     uncond_tokens=(),
 ):
-    """Generate one image. Returns (image Tensor [c,R,R], NfeReport)."""
-    cfg = store.config
-    rng = np.random.default_rng([NOISE_STREAM, seed])
-    x = rng.standard_normal((cfg.channels, resolution, resolution)).astype(np.float32)
-    grid = sconf.grid()
-    report = NfeReport()
-    cache = CacheState() if sconf.teacache_delta is not None else None
-    history: list[FdpmRecord] = []
-
-    def velocity(x_cur: np.ndarray, t: float, t_emb=None) -> np.ndarray:
-        if t_emb is None:
-            t_emb = timestep_embedding(t, store)
-        v_u = forward(uncond_tokens, Tensor(x_cur), t, store, t_emb=t_emb).data
-        report.unconditional += 1
-        v_c = None
-        if cfg_active(guidance, t):
-            v_c = forward(text_tokens, Tensor(x_cur), t, store, t_emb=t_emb).data
-            report.conditional += 1
-        return cfg_combine(v_u, v_c, guidance, t)
-
-    def evals_at(t: float) -> int:
-        return 1 + (1 if cfg_active(guidance, t) else 0)
-
-    start = time.perf_counter()
-    with no_grad():
-        for i in range(len(grid) - 1):
-            t, t_next = float(grid[i]), float(grid[i + 1])
-            dt = t_next - t
-
-            t_emb = timestep_embedding(t, store)
-            if cache is not None:
-                decision = teacache_gate(cache, t_emb.data, sconf.teacache_delta)
-                if decision != COMPUTE:
-                    skipped = evals_at(t)
-                    if sconf.solver == "midpoint":
-                        skipped += evals_at(t + 0.5 * dt)
-                    cache.evals_skipped += skipped
-                    report.skipped += skipped
-                    x = x + dt * cache.last_output
-                    history.clear()  # multistep assumptions break across a hold
-                    continue
-
-            if sconf.solver == "euler":
-                v = velocity(x, t, t_emb)
-                x = x + dt * v
-            elif sconf.solver == "midpoint":
-                v1 = velocity(x, t, t_emb)
-                v = velocity(x + 0.5 * dt * v1, t + 0.5 * dt)
-                x = x + dt * v
-            else:  # fdpm
-                v = velocity(x, t, t_emb)
-                history.append(FdpmRecord(x=x, x0=x0_prediction(x, v, t), t=t))
-                x = fdpm_step(history, t_next)
-                if len(history) > 2:
-                    history.pop(0)
-
-            if cache is not None:
-                cache.last_output = v
-    report.wall_ms = (time.perf_counter() - start) * 1000.0
-    return Tensor(x.astype(np.float32)), report
-
-
-def _combine_batch(v_u, v_c, g: GuidanceConfig, frac: float) -> np.ndarray:
-    """cfg_combine over a leading batch dim; renorm norms are per sample."""
-    if not cfg_active(g, frac):
-        return v_u
-    v = v_c if g.w == 1.0 else v_u + g.w * (v_c - v_u)
-    if g.renorm:
-        axes = tuple(range(1, v.ndim)) if g.renorm_scope == "sample" else (1,)
-        target = np.sqrt((v_c * v_c).sum(axis=axes, keepdims=True))
-        norm = np.sqrt((v * v).sum(axis=axes, keepdims=True))
-        v = v * (target / np.maximum(norm, EPS_DIV))
-    return v
+    """Generate one image as a batch of one through ``sample_batch``.
+    Returns (image Tensor [c,R,R], NfeReport)."""
+    images, report = sample_batch(
+        store, [text_tokens], guidance, sconf, [seed],
+        resolution=resolution, uncond_tokens=uncond_tokens,
+    )
+    return images[0], report
 
 
 def sample_batch(
@@ -124,18 +57,20 @@ def sample_batch(
 ):
     """Generate one image per (prompt, seed) pair in lockstep.
 
-    All prompts must share one padded length. Per-sample noise matches the
-    unbatched path for the same seed; the returned NfeReport counts
+    All prompts must share one padded length. Each sample's noise depends
+    only on its own seed, so a row equals ``sample`` for the same prompt and
+    seed up to batched-GEMM roundoff. The returned NfeReport counts
     evaluations per sample (every sample sees the same schedule).
     """
     cfg = store.config
     token_rows = [list(r) for r in token_rows]
+    seeds = [int(s) for s in seeds]
     b = len(token_rows)
-    if len(list(seeds)) != b:
-        raise UsageError(f"{len(list(seeds))} seeds for {b} prompts")
+    if len(seeds) != b:
+        raise UsageError(f"{len(seeds)} seeds for {b} prompts")
     x = np.stack(
         [
-            np.random.default_rng([NOISE_STREAM, int(s)])
+            np.random.default_rng([NOISE_STREAM, s])
             .standard_normal((cfg.channels, resolution, resolution))
             .astype(np.float32)
             for s in seeds
@@ -157,7 +92,7 @@ def sample_batch(
         if cfg_active(guidance, t):
             v_c = forward_batch(token_rows, Tensor(x_cur), ts, store, t_emb=t_emb).data
             report.conditional += 1
-        return _combine_batch(v_u, v_c, guidance, t)
+        return cfg_combine(v_u, v_c, guidance, t)
 
     def evals_at(t):
         return 1 + (1 if cfg_active(guidance, t) else 0)
@@ -177,7 +112,7 @@ def sample_batch(
                     cache.evals_skipped += skipped
                     report.skipped += skipped
                     x = x + dt * cache.last_output
-                    history.clear()
+                    history.clear()  # multistep assumptions break across a hold
                     continue
             if sconf.solver == "euler":
                 v = velocity(x, t, t_emb)
@@ -186,7 +121,7 @@ def sample_batch(
                 v1 = velocity(x, t, t_emb)
                 v = velocity(x + 0.5 * dt * v1, t + 0.5 * dt)
                 x = x + dt * v
-            else:
+            else:  # fdpm
                 v = velocity(x, t, t_emb)
                 history.append(FdpmRecord(x=x, x0=x0_prediction(x, v, t), t=t))
                 x = fdpm_step(history, t_next)

@@ -15,18 +15,16 @@ from . import numerics as nm
 from .errors import CheckpointError
 from .flow import aux_loss
 from .model import (
-    JointSequence,
     ModelConfig,
     assign_coords,
     attention_as_ffn,
     cross_attention_direct,
     init_params,
-    joint_attention,
     load_checkpoint,
     save_checkpoint,
-    single_stream_block,
-    timestep_embedding,
+    timestep_embedding_batch,
 )
+from .model.blocks import block_batch
 from .model.rope import rope_tables
 from .numerics import Tensor, apply_rotary
 from .sampler import (
@@ -135,9 +133,9 @@ def run_selfcheck(verbose: bool = True) -> list:
     # block identity at init
     cfg = _tiny_config()
     store = init_params(cfg, seed=0)
-    xin = Tensor(rng.standard_normal((6, cfg.dim)).astype(np.float32))
-    seq = JointSequence(xin, assign_coords(2, 2, 2), 2, (2, 2))
-    out = single_stream_block(seq, store, "blocks.0", timestep_embedding(0.4, store))
+    xin = Tensor(rng.standard_normal((1, 6, cfg.dim)).astype(np.float32))
+    out = block_batch(xin, assign_coords(2, 2, 2), store, "blocks.0",
+                      timestep_embedding_batch([0.4], store))
     dev = float(np.abs(out.data - xin.data).max())
     check("block.identity_at_init", dev == 0.0, f"dev {dev:.2e}")
 

@@ -118,3 +118,10 @@ def pad_prompt(tokens, vocab: Vocabulary, length: int = PROMPT_LEN) -> list:
     if len(tokens) > length:
         raise ConfigError(f"prompt of {len(tokens)} tokens exceeds padded length {length}")
     return tokens + [vocab.id(PAD)] * (length - len(tokens))
+
+
+def encode_prompt(caption_tokens, template: str, vocab: Vocabulary) -> list:
+    """The model's text input: system prompt, caption, then padding to
+    PROMPT_LEN. No caption tokens gives the unconditional prompt. Training,
+    sampling and evaluation all encode prompts here, so they agree."""
+    return pad_prompt(apply_system_prompt(caption_tokens, template, vocab), vocab)

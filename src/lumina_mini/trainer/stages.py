@@ -1,9 +1,9 @@
 """Multi-stage progressive training.
 
 Every random draw derives statelessly from (master_seed, stage_index, step),
-so a fixed seed yields a bit-identical loss trajectory in strict mode and a
-checkpoint resumed mid-stage continues exactly where it left off. Stages
-raise resolution and data quality; parameters transfer unchanged between
+so a fixed seed yields a bit-identical loss trajectory and a checkpoint
+resumed mid-stage continues exactly where it left off. Stages raise
+resolution and data quality; parameters transfer unchanged between
 resolutions (rotary positions are computed, not learned) while optimizer
 moments reset.
 """
@@ -23,12 +23,10 @@ from ..model.params import ParamStore, init_params
 from ..numerics import Tensor
 from ..synthdata import (
     Vocabulary,
-    apply_system_prompt,
     build_vocabulary,
     caption_scene,
-    pad_prompt,
+    encode_prompt,
     render_scene,
-    unconditional_tokens,
 )
 from ..synthdata.captions import GRANULARITIES
 from .metrics import MetricRow, MetricsLog
@@ -94,12 +92,8 @@ def draw_batch(plan: StagePlan, scenes, vocab: Vocabulary, rng) -> list:
         t = float(rng.uniform())
         image = render_scene(scene, plan.resolution)
         eps = rng.standard_normal(image.shape).astype(np.float32)
-        if dropped:
-            tokens = unconditional_tokens(plan.template, vocab)
-        else:
-            caption = caption_scene(scene, granularity, vocab)
-            tokens = apply_system_prompt(caption.tokens, plan.template, vocab)
-        batch.append((pad_prompt(tokens, vocab), image, t, eps))
+        caption = [] if dropped else caption_scene(scene, granularity, vocab).tokens
+        batch.append((encode_prompt(caption, plan.template, vocab), image, t, eps))
     return batch
 
 

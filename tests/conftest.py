@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lumina_mini.model import init_params
 from lumina_mini.numerics import Tensor
 
 
@@ -41,6 +42,23 @@ def check_grad(tensor_f, numpy_f, xs, which=0, tol=1e-5, h=1e-6):
     err = rel_err(ad, fd)
     assert err < tol, f"gradient mismatch: rel err {err:.3e} >= {tol}"
     return err
+
+
+def live_params(cfg, seed=0):
+    """init_params with the zero-initialized adaLN and output projections
+    redrawn, so the predicted velocity depends on prompt, image and time."""
+    store = init_params(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    for name, t in store.items():
+        if name.endswith((".ada.w", "final.proj.w")):
+            t.data[...] = rng.standard_normal(t.shape) * 0.5
+    return store
+
+
+def pytest_collection_modifyitems(items):
+    """Run ``slow`` tests last, so the fast tests report first. Nothing is
+    skipped or deselected; the sort is stable within each group."""
+    items.sort(key=lambda item: item.get_closest_marker("slow") is not None)
 
 
 @pytest.fixture

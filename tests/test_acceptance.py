@@ -8,9 +8,11 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from conftest import autodiff_grad, finite_diff_grad, rel_err
 from lumina_mini import numerics as nm
+from lumina_mini.configio import default_config
 from lumina_mini.evalharness import (
     caption_length_experiment,
     classify_image,
@@ -19,15 +21,14 @@ from lumina_mini.evalharness import (
 )
 from lumina_mini.flow import aux_loss
 from lumina_mini.model import (
-    JointSequence,
     ModelConfig,
     apply_mrope,
     assign_coords,
     dynamic_ffn_weights,
     init_params,
-    single_stream_block,
     timestep_embedding,
 )
+from lumina_mini.model.blocks import block_batch
 from lumina_mini.model.rope import rope_tables
 from lumina_mini.numerics import Tensor, apply_rotary
 from lumina_mini.sampler import (
@@ -210,8 +211,8 @@ def test_criterion_04_identity_at_init():
     for prefix in [f"img_proc.{i}" for i in range(cfg.image_processor_layers)] + [
         f"blocks.{i}" for i in range(cfg.layers)
     ]:
-        seq = JointSequence(x, coords, 6, (8, 8))
-        out = single_stream_block(seq, store, prefix, t_emb)
+        out = block_batch(x.reshape(1, *x.shape), coords, store, prefix,
+                          t_emb.reshape(1, cfg.dim)).reshape(x.shape)
         assert (out.data == x.data).all(), f"{prefix} not an exact identity"
         checked += 1
     announce(4, f"{checked} freshly initialized conditioned blocks are exact identities")
@@ -257,23 +258,22 @@ def test_criterion_06_cfg_trunc_acceleration():
     sc = SamplerConfig(solver="euler", steps=20)
     tokens = [8, 9, 10, 11]
 
-    def run(alpha):
-        best = math.inf
-        reports = None
-        for _ in range(2):  # two attempts, keep the faster (timing noise)
+    # five alternating (full, truncated) pairs, so machine drift hits both
+    # arms alike; the median of each arm ignores a stray slow run
+    runs = {1.0: [], 0.6: []}
+    for _ in range(5):
+        for alpha in runs:
             _, rep = sample(store, tokens, GuidanceConfig(w=4.0, trunc_alpha=alpha),
                             sc, seed=1, resolution=32)
-            if rep.wall_ms < best:
-                best, reports = rep.wall_ms, rep
-        return reports, best
-
-    full, full_ms = run(1.0)
-    trunc, trunc_ms = run(0.6)
-    assert full.total == 40 and trunc.total == 32
-    assert trunc.conditional == 12 and trunc.unconditional == 20
+            runs[alpha].append(rep)
+    for full, trunc in zip(runs[1.0], runs[0.6]):
+        assert full.total == 40 and trunc.total == 32
+        assert trunc.conditional == 12 and trunc.unconditional == 20
+    full_ms = float(np.median([r.wall_ms for r in runs[1.0]]))
+    trunc_ms = float(np.median([r.wall_ms for r in runs[0.6]]))
     reduction = 1.0 - trunc_ms / full_ms
     assert reduction >= 0.15, f"wall-time reduction {reduction:.1%}"
-    announce(6, f"NFE 32 vs 40 (exact 20%), wall-time reduction {reduction:.1%}")
+    announce(6, f"NFE 32 vs 40 (exact 20%), median wall-time reduction {reduction:.1%}")
 
 
 # -- 7. solver orders -----------------------------------------------------------
@@ -413,6 +413,7 @@ def test_criterion_09_aux_loss_nullspace():
 # -- 10. caption-length convergence ------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_10_caption_length_convergence():
     started = time.perf_counter()
     out = caption_length_experiment(steps=2000, seed=10, batch_size=4, n_scenes=4000)
@@ -435,6 +436,16 @@ def test_criterion_10_caption_length_convergence():
 # -- 11. staged training end to end -------------------------------------------------
 
 
+# the shipped defaults of the three stages and of guidance; not tuned here
+_DEFAULTS = default_config()
+PIPELINE_STEPS = tuple(
+    _DEFAULTS[f"stages.{name}"]["steps"] for name in ("low_res", "high_res", "hq_tune")
+)
+PIPELINE_LR = _DEFAULTS["stages.low_res"]["lr"]
+EVAL_W = _DEFAULTS["guidance"]["w"]
+
+
+@pytest.mark.slow
 def test_criterion_11_staged_training_end_to_end():
     from lumina_mini.evalharness import adherence_eval
     from lumina_mini.sampler import GuidanceConfig as GC, SamplerConfig as SC
@@ -482,8 +493,7 @@ def test_criterion_11_staged_training_end_to_end():
 # -- 12. determinism and resumability -----------------------------------------------
 
 
-def test_criterion_12_determinism_and_resumability(tmp_path, monkeypatch):
-    monkeypatch.setenv("LUMINA_MINI_STRICT", "1")
+def test_criterion_12_determinism_and_resumability(tmp_path):
     cfg = ModelConfig(
         dim=64, heads=4, kv_heads=2, layers=2, text_processor_layers=1,
         image_processor_layers=1, vocab_size=64, axes_split=(8, 4, 4),

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from conftest import live_params
 from lumina_mini.cli import main
 from lumina_mini.configio import (
     apply_overrides,
@@ -12,6 +14,14 @@ from lumina_mini.configio import (
 )
 from lumina_mini.errors import ConfigError
 from lumina_mini.model import ModelConfig, init_params, save_checkpoint
+from lumina_mini.numerics import load_tensor
+from lumina_mini.sampler import GuidanceConfig, SamplerConfig, sample_batch
+from lumina_mini.synthdata import (
+    apply_system_prompt,
+    build_vocabulary,
+    pad_prompt,
+    unconditional_tokens,
+)
 
 
 TINY_MODEL_OVERRIDES = [
@@ -33,18 +43,20 @@ TINY_MODEL_OVERRIDES = [
 ]
 
 
-def tiny_ckpt(tmp_path):
-    cfg = ModelConfig(
-        dim=32,
-        heads=4,
-        kv_heads=2,
-        layers=1,
-        text_processor_layers=1,
-        image_processor_layers=1,
-        vocab_size=64,
-        axes_split=(4, 2, 2),
-    )
-    store = init_params(cfg, seed=0)
+TINY_MODEL = ModelConfig(
+    dim=32,
+    heads=4,
+    kv_heads=2,
+    layers=1,
+    text_processor_layers=1,
+    image_processor_layers=1,
+    vocab_size=64,
+    axes_split=(4, 2, 2),
+)
+
+
+def tiny_ckpt(tmp_path, store=None):
+    store = init_params(TINY_MODEL, seed=0) if store is None else store
     path = tmp_path / "tiny.lmck"
     save_checkpoint(path, store)
     return path
@@ -175,6 +187,34 @@ class TestSampleCommand:
                   "--out", str(out)])
             outs.append((out / "image.ppm").read_bytes())
         assert outs[0] == outs[1]
+
+
+    def test_cli_image_equals_padded_eval_path(self, tmp_path):
+        store = live_params(TINY_MODEL)
+        ckpt = tiny_ckpt(tmp_path, store)
+        out = tmp_path / "pad"
+        code = main(["sample", "--ckpt", str(ckpt), "--prompt", "red circle cell_4",
+                     "--steps", "3", "--renorm", "--seed", "5", "--resolution", "16",
+                     "--out", str(out)])
+        assert code == 0
+        vocab = build_vocabulary()
+        padded = pad_prompt(
+            apply_system_prompt(vocab.encode(["red", "circle", "cell_4"]), "B", vocab), vocab
+        )
+        images, _ = sample_batch(
+            store, [padded], GuidanceConfig(w=4.0, renorm=True, trunc_alpha=0.6),
+            SamplerConfig(solver="euler", steps=3), [5], resolution=16,
+            uncond_tokens=pad_prompt(unconditional_tokens("B", vocab), vocab),
+        )
+        assert (load_tensor(out / "image.lmt").data == images[0].data).all()
+
+    def test_nan_weight_exit_3(self, tmp_path):
+        store = init_params(TINY_MODEL, seed=0)
+        store["blocks.0.attn.wq"].data[0, 0] = np.nan
+        ckpt = tiny_ckpt(tmp_path, store)
+        code = main(["sample", "--ckpt", str(ckpt), "--steps", "2", "--resolution", "16",
+                     "--out", str(tmp_path / "nan")])
+        assert code == 3
 
 
 class TestEvalAndBench:

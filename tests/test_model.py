@@ -3,23 +3,21 @@ import pytest
 
 from lumina_mini.errors import ConfigError, DataError, ShapeError, UsageError
 from lumina_mini.model import (
-    JointSequence,
     ModelConfig,
     apply_mrope,
     assign_coords,
     count_params,
     forward,
     init_params,
-    joint_attention,
     load_checkpoint,
     param_shapes,
     patchify,
     reference_config,
     save_checkpoint,
-    single_stream_block,
     timestep_embedding,
     unpatchify,
 )
+from lumina_mini.model.blocks import attention_batch, block_batch
 from lumina_mini.model.rope import rope_tables
 from lumina_mini.numerics import Tensor
 
@@ -191,13 +189,24 @@ def reference_mha(x, coords, store, prefix, cfg):
     return out.reshape(L, H * hd) @ store[f"{prefix}.attn.wo"].data
 
 
+def attention_one(x, coords, store, prefix):
+    """attention_batch over one [L, dim] sequence: a batch of one."""
+    return attention_batch(x.reshape(1, *x.shape), coords, store, prefix).reshape(x.shape)
+
+
+def block_one(x, coords, store, prefix, t_emb):
+    """block_batch over one [L, dim] sequence; t_emb is [dim] or None."""
+    if t_emb is not None:
+        t_emb = t_emb.reshape(1, *t_emb.shape)
+    return block_batch(x.reshape(1, *x.shape), coords, store, prefix, t_emb).reshape(x.shape)
+
+
 class TestJointAttention:
     def test_single_token_is_v_through_o(self, rng):
         cfg = tiny_config()
         store = init_params(cfg, seed=1, dtype="f64")
         x = Tensor(rng.standard_normal((1, cfg.dim)), "f64")
-        seq = JointSequence(x, assign_coords(1, 0, 0), 1, (0, 0))
-        out = joint_attention(seq, store, "blocks.0")
+        out = attention_one(x, assign_coords(1, 0, 0), store, "blocks.0")
 
         # softmax over one key is 1, so output = per-head V routed through O
         v = (x.data @ store["blocks.0.attn.wv"].data).reshape(1, cfg.kv_heads, cfg.head_dim)
@@ -210,18 +219,12 @@ class TestJointAttention:
         store = init_params(cfg, seed=2, dtype="f64")
         x = rng.standard_normal((2 + 4, cfg.dim))
         coords = assign_coords(2, 2, 2)
-        out = joint_attention(
-            JointSequence(Tensor(x, "f64"), coords, 2, (2, 2)), store, "blocks.0"
-        ).data
+        out = attention_one(Tensor(x, "f64"), coords, store, "blocks.0").data
 
         # swap two image tokens together with their coords
         perm = np.arange(6)
         perm[3], perm[5] = 5, 3
-        out_p = joint_attention(
-            JointSequence(Tensor(x[perm], "f64"), coords[perm], 2, (2, 2)),
-            store,
-            "blocks.0",
-        ).data
+        out_p = attention_one(Tensor(x[perm], "f64"), coords[perm], store, "blocks.0").data
         np.testing.assert_allclose(out_p, out[perm], atol=1e-10)
 
     def test_matches_reference_mha_when_kv_equals_heads(self, rng):
@@ -229,9 +232,7 @@ class TestJointAttention:
         store = init_params(cfg, seed=3, dtype="f64")
         x = rng.standard_normal((7, cfg.dim))
         coords = assign_coords(3, 2, 2)
-        out = joint_attention(
-            JointSequence(Tensor(x, "f64"), coords, 3, (2, 2)), store, "blocks.0"
-        ).data
+        out = attention_one(Tensor(x, "f64"), coords, store, "blocks.0").data
         ref = reference_mha(x, coords, store, "blocks.0", cfg)
         assert np.abs(out - ref).max() < 1e-6
 
@@ -240,18 +241,16 @@ class TestJointAttention:
         store = init_params(cfg, seed=4, dtype="f64")
         x = rng.standard_normal((5, cfg.dim))
         coords = assign_coords(1, 2, 2)
-        out = joint_attention(
-            JointSequence(Tensor(x, "f64"), coords, 1, (2, 2)), store, "blocks.0"
-        ).data
+        out = attention_one(Tensor(x, "f64"), coords, store, "blocks.0").data
         ref = reference_mha(x, coords, store, "blocks.0", cfg)
         assert np.abs(out - ref).max() < 1e-6
 
     def test_empty_sequence_rejected(self):
         cfg = tiny_config()
         store = init_params(cfg, seed=0)
-        seq = JointSequence(Tensor(np.zeros((0, cfg.dim))), np.zeros((0, 3), dtype=np.int64), 0, (0, 0))
         with pytest.raises(UsageError):
-            joint_attention(seq, store, "blocks.0")
+            attention_one(Tensor(np.zeros((0, cfg.dim))), np.zeros((0, 3), dtype=np.int64),
+                          store, "blocks.0")
 
 
 class TestSingleStreamBlock:
@@ -260,16 +259,14 @@ class TestSingleStreamBlock:
         store = init_params(cfg, seed=5)
         x = Tensor(rng.standard_normal((6, cfg.dim)).astype(np.float32))
         t_emb = timestep_embedding(0.3, store)
-        seq = JointSequence(x, assign_coords(2, 2, 2), 2, (2, 2))
-        out = single_stream_block(seq, store, "blocks.1", t_emb)
+        out = block_one(x, assign_coords(2, 2, 2), store, "blocks.1", t_emb)
         assert (out.data == x.data).all()  # exact, not approximate
 
     def test_shape_preserved_without_conditioning(self, rng):
         cfg = tiny_config()
         store = init_params(cfg, seed=6)
         x = Tensor(rng.standard_normal((3, cfg.dim)).astype(np.float32))
-        seq = JointSequence(x, assign_coords(3, 0, 0), 3, (0, 0))
-        out = single_stream_block(seq, store, "text_proc.0", None)
+        out = block_one(x, assign_coords(3, 0, 0), store, "text_proc.0", None)
         assert out.shape == x.shape
         assert not (out.data == x.data).all()  # plain sandwich block does act
 
@@ -278,8 +275,7 @@ class TestSingleStreamBlock:
         store = init_params(cfg, seed=7, dtype="f64")
         x = Tensor(rng.standard_normal((6, cfg.dim)), "f64")
         t_emb = timestep_embedding(0.7, store)
-        seq = JointSequence(x, assign_coords(2, 2, 2), 2, (2, 2))
-        out = single_stream_block(seq, store, "blocks.0", t_emb)
+        out = block_one(x, assign_coords(2, 2, 2), store, "blocks.0", t_emb)
         (out * out).sum().backward()
         assert np.abs(store["blocks.0.ada.w"].grad.data).max() > 0
 
@@ -363,24 +359,3 @@ class TestCheckpoint:
         back, opt, _ = load_checkpoint(path)
         assert set(opt) == {"opt.m.tok_emb.w"}
         assert "opt.m.tok_emb.w" not in back.names()
-
-
-class TestJointSequenceInvariants:
-    def test_length_mismatch_rejected(self, rng):
-        from lumina_mini.errors import UsageError
-
-        with pytest.raises(UsageError):
-            JointSequence(
-                Tensor(rng.standard_normal((5, 8))), assign_coords(2, 2, 2), 2, (2, 2)
-            )
-
-    def test_missing_coords_rejected(self, rng):
-        from lumina_mini.errors import UsageError
-
-        with pytest.raises(UsageError):
-            JointSequence(
-                Tensor(rng.standard_normal((6, 8))),
-                np.zeros((5, 3), dtype=np.int64),
-                2,
-                (2, 2),
-            )

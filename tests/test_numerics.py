@@ -322,18 +322,6 @@ def test_serialize_bad_magic():
         nm.read_tensor(io.BytesIO(b"XXXX" + b"\x00" * 16))
 
 
-def test_parallel_matmul_within_f32_noise(rng):
-    a = rng.standard_normal((32, 64)).astype(np.float32)
-    b = rng.standard_normal((64, 16)).astype(np.float32)
-    strict = matmul(Tensor(a), Tensor(b)).data
-    nm.set_matmul_threads(2)
-    try:
-        par = matmul(Tensor(a), Tensor(b)).data
-    finally:
-        nm.set_matmul_threads(1)
-    np.testing.assert_allclose(par, strict, rtol=1e-5, atol=1e-6)
-
-
 def test_compute_graph_trace():
     x = Tensor(2.0, requires_grad=True)
     y = (x * x + x).sum()

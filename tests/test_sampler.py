@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import live_params
 from lumina_mini.errors import ConfigError, UsageError
 from lumina_mini.model import ModelConfig, init_params
 from lumina_mini.sampler import (
@@ -16,14 +17,15 @@ from lumina_mini.sampler import (
     fdpm_step,
     midpoint_step,
     sample,
+    sample_batch,
     teacache_gate,
     write_ppm,
     x0_prediction,
 )
 
 
-def micro_store(seed=0):
-    cfg = ModelConfig(
+def micro_config():
+    return ModelConfig(
         dim=16,
         heads=2,
         kv_heads=1,
@@ -34,7 +36,10 @@ def micro_store(seed=0):
         vocab_size=8,
         axes_split=(4, 2, 2),
     )
-    return init_params(cfg, seed=seed)
+
+
+def micro_store(seed=0):
+    return init_params(micro_config(), seed=seed)
 
 
 class TestGuidanceConfig:
@@ -347,6 +352,44 @@ class TestSampleOrchestration:
         parsed = json.loads(report.to_json())
         assert parsed["total"] == parsed["conditional"] + parsed["unconditional"]
         assert "wall_ms" in parsed and "skipped" in parsed
+
+
+class TestSampleBatch:
+    PROMPTS = [[1, 2, 3, 0], [4, 5, 6, 0], [7, 1, 2, 3]]
+    SEEDS = [3, 4, 5]
+    UNCOND = [1, 2, 0, 0]
+
+    @pytest.mark.parametrize(
+        "guidance, sconf",
+        [
+            (GuidanceConfig(w=3.0, renorm=True, trunc_alpha=0.6),
+             SamplerConfig(solver="euler", steps=6)),
+            (GuidanceConfig(w=3.0, renorm=True, renorm_scope="token", trunc_alpha=0.6),
+             SamplerConfig(solver="fdpm", steps=6, teacache_delta=0.8)),
+            (GuidanceConfig(w=3.0, trunc_alpha=1.0),
+             SamplerConfig(solver="midpoint", steps=6, teacache_delta=0.8)),
+        ],
+        ids=["euler-renorm", "fdpm-token-renorm-teacache", "midpoint-teacache"],
+    )
+    def test_rows_match_single_sample(self, guidance, sconf):
+        store = live_params(micro_config())
+        images, report = sample_batch(store, self.PROMPTS, guidance, sconf, self.SEEDS,
+                                      resolution=8, uncond_tokens=self.UNCOND)
+        counts = (report.conditional, report.unconditional, report.skipped)
+        for tokens, seed, image in zip(self.PROMPTS, self.SEEDS, images):
+            one, one_report = sample(store, tokens, guidance, sconf, seed, resolution=8,
+                                     uncond_tokens=self.UNCOND)
+            np.testing.assert_allclose(image.data, one.data, rtol=0, atol=1e-5)
+            assert (one_report.conditional, one_report.unconditional,
+                    one_report.skipped) == counts
+        if sconf.teacache_delta is not None:
+            assert 0 < report.skipped < report.total + report.skipped
+
+    def test_seed_count_must_match_prompts(self):
+        store = micro_store()
+        with pytest.raises(UsageError):
+            sample_batch(store, self.PROMPTS, GuidanceConfig(w=2.0), SamplerConfig(steps=2),
+                         self.SEEDS[:2], resolution=8, uncond_tokens=self.UNCOND)
 
 
 def test_write_ppm(tmp_path, rng):
