@@ -16,9 +16,7 @@ import time
 
 from .configio import (
     apply_overrides,
-    build_guidance,
     build_model_config,
-    build_sampler_config,
     build_stage_plans,
     default_config,
     format_config,
@@ -221,13 +219,15 @@ def cmd_selfcheck(argv) -> int:
     parser.parse_args(argv)
     from .selfcheck import run_selfcheck
 
-    print("running invariant battery:")
+    print("running the check catalogue:")
+    started = time.perf_counter()
     results = run_selfcheck(verbose=True)
+    elapsed = time.perf_counter() - started
     failures = [name for name, ok, _ in results if not ok]
     if failures:
         print(f"FAILED: {', '.join(failures)}", file=sys.stderr)
         return EXIT_CHECK_FAILURE
-    print(f"all {len(results)} checks passed")
+    print(f"all {len(results)} checks passed in {elapsed:.1f}s")
     return EXIT_OK
 
 

@@ -12,7 +12,6 @@ import copy
 
 from .errors import ConfigError
 from .model import ModelConfig
-from .sampler import GuidanceConfig, SamplerConfig
 from .trainer import StagePlan
 
 STAGE_ORDER = ("low_res", "high_res", "hq_tune")
@@ -84,32 +83,25 @@ def default_config() -> dict:
             "warmup_steps": 100,
             "grad_clip": 1.0,
         },
-        "sampler": {"solver": "euler", "steps": 10, "teacache_delta": None},
-        "guidance": {"w": 4.0, "renorm": True, "trunc_alpha": 0.6, "renorm_scope": "sample"},
-        "eval": {"n": 500, "seed": 123, "resolution": 32, "granularity": "short", "template": "B"},
     }
 
 
 def _coerce(raw: str, default):
+    """Parse raw as the type of default: int, float, tuple of either, or str."""
     raw = raw.strip()
-    if default is None or (isinstance(default, float) and raw.lower() in ("none", "null")):
-        if raw.lower() in ("none", "null", ""):
-            return None
-        return float(raw)
-    if isinstance(default, bool):
-        if raw.lower() in ("true", "1", "yes", "on"):
-            return True
-        if raw.lower() in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    if isinstance(default, tuple):
-        parts = [p for p in raw.replace("(", "").replace(")", "").split(",") if p.strip()]
-        elem = default[0] if default else 0.0
-        return tuple(int(p) if isinstance(elem, int) else float(p) for p in parts)
+    try:
+        if isinstance(default, int):
+            return int(raw)
+        if isinstance(default, float):
+            return float(raw)
+        if isinstance(default, tuple):
+            parts = [p for p in raw.replace("(", "").replace(")", "").split(",") if p.strip()]
+            elem = int if isinstance(default[0], int) else float
+            return tuple(elem(p) for p in parts)
+    except ValueError:
+        raise ConfigError(
+            f"expected a {type(default).__name__} like {default!r}, got {raw!r}"
+        ) from None
     return raw
 
 
@@ -157,10 +149,6 @@ def apply_overrides(cfg: dict, overrides) -> dict:
 
 
 def _format_value(v) -> str:
-    if v is None:
-        return "none"
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, tuple):
         return ",".join(repr(x) if isinstance(x, float) else str(x) for x in v)
     if isinstance(v, float):
@@ -188,11 +176,3 @@ def build_stage_plans(cfg: dict) -> list:
         section = dict(cfg[f"stages.{name}"])
         plans.append(StagePlan(name=name, **section))
     return plans
-
-
-def build_guidance(cfg: dict) -> GuidanceConfig:
-    return GuidanceConfig(**cfg["guidance"])
-
-
-def build_sampler_config(cfg: dict) -> SamplerConfig:
-    return SamplerConfig(**cfg["sampler"])

@@ -15,8 +15,6 @@ content of the prediction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import UsageError
@@ -45,24 +43,6 @@ def interpolate(x, eps, t):
     x_t = t_t * x + (1.0 - t_t) * eps
     u = x - eps
     return x_t, u
-
-
-@dataclass
-class FlowBatch:
-    """One training batch: inputs, interpolant and target velocity together."""
-
-    x: Tensor
-    eps: Tensor
-    t: np.ndarray
-    x_t: Tensor
-    u: Tensor
-
-
-def flow_batch(x, eps, t) -> FlowBatch:
-    x = _as_tensor(x)
-    eps = _as_tensor(eps)
-    x_t, u = interpolate(x, eps, t)
-    return FlowBatch(x=x, eps=eps, t=np.asarray(t), x_t=x_t, u=u)
 
 
 def fm_loss(v_pred: Tensor, u) -> Tensor:

@@ -2,7 +2,7 @@ from .blocks import timestep_embedding, timestep_embedding_batch
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ModelConfig, count_params, param_shapes, reference_config
 from .ffn_view import attention_as_ffn, cross_attention_direct, dynamic_ffn_weights
-from .network import forward, forward_batch, patchify, unpatchify
+from .network import forward_batch, patchify, unpatchify
 from .params import ParamStore, init_params
 from .rope import apply_mrope, assign_coords, rope_tables
 
@@ -15,7 +15,6 @@ __all__ = [
     "count_params",
     "cross_attention_direct",
     "dynamic_ffn_weights",
-    "forward",
     "forward_batch",
     "init_params",
     "load_checkpoint",

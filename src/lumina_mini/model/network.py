@@ -1,13 +1,14 @@
 """The full network: token/patch embedding, processors, joint blocks, output head.
 
-forward() maps (text tokens, image, timestep) to a velocity field with the
-same shape as the image. Text goes through the token table and text-processor
-blocks (no timestep conditioning); the image is patchified, embedded and run
-through image-processor blocks; the two are concatenated into one sequence
-for the joint blocks; the image positions are projected back to patch pixels.
+forward_batch() maps (text tokens, images, timesteps) to a velocity field with
+the same shape as the images. Text goes through the token table and
+text-processor blocks (no timestep conditioning); the image is patchified,
+embedded and run through image-processor blocks; the two are concatenated
+into one sequence for the joint blocks; the image positions are projected
+back to patch pixels.
 
-forward_batch() is the throughput path: it runs several samples through every
-layer at once. All prompts in a batch must share one length (callers pad with
+Every sample in a batch runs through each layer at once; a single sample is
+a batch of one. All prompts in a batch must share one length (callers pad with
 the dedicated pad token), so no attention mask is needed and token coordinates
 are shared batch-wide.
 """
@@ -117,22 +118,3 @@ def forward_batch(
     patches = matmul(hidden, store["final.proj.w"]) + store["final.proj.b"]
     return _unpatchify_batch(patches, c, h, w, p)
 
-
-def forward(
-    text_tokens,
-    image: Tensor,
-    t: float,
-    store: ParamStore,
-    t_emb: Tensor | None = None,
-) -> Tensor:
-    """Predicted velocity for one sample. Output shape equals image shape."""
-    if not isinstance(image, Tensor):
-        image = Tensor(np.asarray(image), "f32")
-    if image.ndim != 3:
-        raise ShapeError(f"expected a [c, H, W] image, got {image.shape}")
-    if not 0.0 <= float(t) <= 1.0:
-        raise UsageError(f"timestep {t} outside [0, 1]")
-    if t_emb is not None:
-        t_emb = t_emb.reshape(1, store.config.dim)
-    out = forward_batch([list(text_tokens)], image.reshape(1, *image.shape), [t], store, t_emb)
-    return out.reshape(image.shape)

@@ -15,7 +15,6 @@ gradients. ``backward`` does one deterministic reverse-topological sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -368,30 +367,6 @@ def _toposort(root: Tensor) -> list:
             if p._op is not None or p.requires_grad:
                 stack.append((p, False))
     return out
-
-
-@dataclass
-class OpRecord:
-    node_id: int
-    op: str
-    parent_ids: tuple
-
-
-@dataclass
-class ComputeGraph:
-    """Topologically ordered op records reachable from one output tensor."""
-
-    records: list
-
-    @staticmethod
-    def trace(t: Tensor) -> "ComputeGraph":
-        order = _toposort(t)
-        return ComputeGraph(
-            [
-                OpRecord(id(n), n._op or "leaf", tuple(id(p) for p in n._parents))
-                for n in order
-            ]
-        )
 
 
 # -- free functions ----------------------------------------------------------

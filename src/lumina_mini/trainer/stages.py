@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, NanLossError, NumericError
-from ..flow import aux_loss, fm_loss
+from ..flow import aux_loss, fm_loss, interpolate
 from ..model import save_checkpoint, load_checkpoint
 from ..model.network import forward_batch
 from ..model.params import ParamStore, init_params
-from ..numerics import Tensor
 from ..synthdata import (
     Vocabulary,
     build_vocabulary,
@@ -104,20 +103,15 @@ def train_step(state: TrainState, plan: StagePlan, scenes, vocab: Vocabulary):
     batch = draw_batch(plan, scenes, vocab, rng)
     params.zero_grad()
     tokens = [b[0] for b in batch]
-    images = np.stack([b[1] for b in batch])
     ts = np.array([b[2] for b in batch])
-    eps = np.stack([b[3] for b in batch])
-    x_t = ts[:, None, None, None].astype(np.float32) * images + (
-        1.0 - ts[:, None, None, None].astype(np.float32)
-    ) * eps
-    u = images - eps
+    x_t, u = interpolate(np.stack([b[1] for b in batch]), np.stack([b[3] for b in batch]), ts)
     try:
-        v_pred = forward_batch(tokens, Tensor(x_t), ts, params)
-        main = fm_loss(v_pred, Tensor(u))
+        v_pred = forward_batch(tokens, x_t, ts, params)
+        main = fm_loss(v_pred, u)
         total = main
         aux_sum = 0.0
         if plan.lambda_aux > 0:
-            aux = aux_loss(v_pred, Tensor(u), plan.aux_factor)
+            aux = aux_loss(v_pred, u, plan.aux_factor)
             total = main + plan.lambda_aux * aux
             aux_sum = aux.item()
         total.backward()

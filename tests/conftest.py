@@ -2,37 +2,7 @@ import numpy as np
 import pytest
 
 from lumina_mini.model import init_params
-from lumina_mini.numerics import Tensor
-
-
-def finite_diff_grad(f, xs, which, h=1e-6):
-    """Central finite differences of scalar f(*xs) w.r.t. xs[which] (f64 arrays)."""
-    base = [np.array(x, dtype=np.float64) for x in xs]
-    g = np.zeros_like(base[which])
-    flat = base[which].reshape(-1)
-    gflat = g.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        hi = float(f(*base))
-        flat[i] = orig - h
-        lo = float(f(*base))
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2 * h)
-    return g
-
-
-def autodiff_grad(f, xs, which):
-    """Gradient of scalar f(*tensors) via backward, inputs as f64 leaves."""
-    leaves = [Tensor(np.array(x, dtype=np.float64), "f64", requires_grad=True) for x in xs]
-    out = f(*leaves)
-    out.backward()
-    return leaves[which].grad.data.copy()
-
-
-def rel_err(a, b):
-    scale = max(np.linalg.norm(b.reshape(-1)), 1e-12)
-    return np.linalg.norm((a - b).reshape(-1)) / scale
+from lumina_mini.selfcheck import autodiff_grad, finite_diff_grad, rel_err
 
 
 def check_grad(tensor_f, numpy_f, xs, which=0, tol=1e-5, h=1e-6):

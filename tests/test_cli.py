@@ -13,7 +13,7 @@ from lumina_mini.configio import (
     parse_config,
 )
 from lumina_mini.errors import ConfigError
-from lumina_mini.model import ModelConfig, init_params, save_checkpoint
+from lumina_mini.model import ModelConfig, ParamStore, init_params, save_checkpoint
 from lumina_mini.numerics import load_tensor
 from lumina_mini.sampler import GuidanceConfig, SamplerConfig, sample_batch
 from lumina_mini.synthdata import (
@@ -77,18 +77,27 @@ class TestConfigIO:
 
     def test_types_coerced(self):
         cfg = parse_config(
-            "[guidance]\nrenorm = false\nw = 2.5\n"
+            "[stages.hq_tune]\ntemplate = C\nlr = 2.5\n"
             "[data]\ntier_fractions = 0.5, 0.3, 0.2\n"
-            "[sampler]\nteacache_delta = none\n"
         )
-        assert cfg["guidance"]["renorm"] is False
-        assert cfg["guidance"]["w"] == 2.5
+        assert cfg["stages.hq_tune"]["template"] == "C"
+        assert cfg["stages.hq_tune"]["lr"] == 2.5
         assert cfg["data"]["tier_fractions"] == (0.5, 0.3, 0.2)
-        assert cfg["sampler"]["teacache_delta"] is None
+
+    @pytest.mark.parametrize("override", [
+        "stages.low_res.steps=abc",
+        "stages.low_res.lr=fast",
+        "model.axes_split=4,x,2",
+        "guidance.w=2",
+    ])
+    def test_bad_value_or_dead_section_exit_2(self, tmp_path, override):
+        with pytest.raises(ConfigError):
+            apply_overrides(default_config(), [override])
+        assert main(["train", "--out", str(tmp_path), f"--{override}"]) == 2
 
     def test_snapshot_roundtrip(self):
         cfg = default_config()
-        apply_overrides(cfg, ["stages.low_res.steps=11", "guidance.w=3.5"])
+        apply_overrides(cfg, ["stages.low_res.steps=11", "stages.hq_tune.lr=3.5e-4"])
         text = format_config(cfg)
         back = parse_config(text)
         assert back == cfg
@@ -173,9 +182,24 @@ class TestSampleCommand:
         nfe = json.loads((out / "nfe.json").read_text())
         assert nfe["conditional"] == nfe["unconditional"] == 4
 
-    def test_bad_checkpoint_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["junk", "missing", "cut_header", "cut_payload",
+                                        "no_final_proj"])
+    def test_bad_checkpoint_exit_2(self, tmp_path, damage):
+        good = tiny_ckpt(tmp_path).read_bytes()
         bad = tmp_path / "bad.lmck"
-        bad.write_bytes(b"JUNKJUNKJUNK")
+        if damage == "junk":
+            bad.write_bytes(b"JUNKJUNKJUNK")
+        elif damage == "cut_header":
+            bad.write_bytes(good[:20])
+        elif damage == "cut_payload":
+            bad.write_bytes(good[: len(good) // 2])
+        elif damage == "no_final_proj":
+            full = init_params(TINY_MODEL, seed=0)
+            store = ParamStore(TINY_MODEL)
+            for name, t in full.items():
+                if name != "final.proj.w":
+                    store.add(name, t)
+            save_checkpoint(bad, store)
         assert main(["sample", "--ckpt", str(bad), "--out", str(tmp_path)]) == 2
 
     def test_same_seed_byte_identical(self, tmp_path):
@@ -249,6 +273,21 @@ class TestEvalAndBench:
 
 def test_selfcheck_passes():
     assert main(["selfcheck"]) == 0
+
+
+def _raises():
+    raise ZeroDivisionError("division by zero")
+
+
+@pytest.mark.parametrize("broken", [lambda: (False, "dev 1.0"), _raises])
+def test_selfcheck_failed_or_raising_check_exit_1(monkeypatch, capsys, broken):
+    import lumina_mini.selfcheck as selfcheck
+
+    monkeypatch.setattr(selfcheck, "CHECKS", {"holds": lambda: (True, ""), "broken": broken})
+    assert main(["selfcheck"]) == 1
+    captured = capsys.readouterr()
+    assert "FAILED: broken" in captured.err and "holds" not in captured.err
+    assert "PASS  holds" in captured.out
 
 
 def test_train_nan_abort_exit_3(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import autodiff_grad, rel_err
 from lumina_mini.errors import ShapeError, UsageError
-from lumina_mini.flow import aux_loss, flow_batch, fm_loss, interpolate, total_loss
+from lumina_mini.flow import aux_loss, fm_loss, interpolate, total_loss
 from lumina_mini.numerics import Tensor
 
 
@@ -42,10 +42,10 @@ class TestInterpolate:
         x = rng.standard_normal((4, 3, 2, 2))
         eps = rng.standard_normal((4, 3, 2, 2))
         t = np.array([0.0, 0.25, 0.5, 1.0])
-        batch = flow_batch(Tensor(x, "f64"), Tensor(eps, "f64"), t)
-        np.testing.assert_allclose(batch.x_t.data[0], eps[0])
-        np.testing.assert_allclose(batch.x_t.data[3], x[3])
-        np.testing.assert_allclose(batch.u.data, x - eps)
+        x_t, u = interpolate(Tensor(x, "f64"), Tensor(eps, "f64"), t)
+        np.testing.assert_allclose(x_t.data[0], eps[0])
+        np.testing.assert_allclose(x_t.data[3], x[3])
+        np.testing.assert_allclose(u.data, x - eps)
 
 
 class TestFmLoss:

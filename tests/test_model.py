@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from lumina_mini.errors import ConfigError, DataError, ShapeError, UsageError
+from lumina_mini.errors import CheckpointError, ConfigError, DataError, ShapeError, UsageError
 from lumina_mini.model import (
     ModelConfig,
+    ParamStore,
     apply_mrope,
     assign_coords,
     count_params,
-    forward,
+    forward_batch,
     init_params,
     load_checkpoint,
     param_shapes,
@@ -286,15 +287,15 @@ class TestForward:
         cfg = tiny_config()
         store = init_params(cfg, seed=8)
         img = Tensor(rng.standard_normal((3, hw, hw)).astype(np.float32))
-        out = forward([1, 2, 3], img, 0.5, store)
-        assert out.shape == (3, hw, hw)
+        out = forward_batch([[1, 2, 3]], img.reshape(1, 3, hw, hw), [0.5], store)
+        assert out.shape == (1, 3, hw, hw)
 
     def test_deterministic(self, rng):
         cfg = tiny_config()
         store = init_params(cfg, seed=9)
         img = Tensor(rng.standard_normal((3, 8, 8)).astype(np.float32))
-        a = forward([1, 2], img, 0.25, store).data
-        b = forward([1, 2], img, 0.25, store).data
+        a = forward_batch([[1, 2]], img.reshape(1, 3, 8, 8), [0.25], store).data
+        b = forward_batch([[1, 2]], img.reshape(1, 3, 8, 8), [0.25], store).data
         assert (a == b).all()
 
     def test_out_of_vocab_rejected(self, rng):
@@ -302,28 +303,28 @@ class TestForward:
         store = init_params(cfg, seed=10)
         img = Tensor(rng.standard_normal((3, 8, 8)).astype(np.float32))
         with pytest.raises(DataError):
-            forward([cfg.vocab_size], img, 0.5, store)
+            forward_batch([[cfg.vocab_size]], img.reshape(1, 3, 8, 8), [0.5], store)
 
     def test_bad_extents_rejected(self, rng):
         cfg = tiny_config()
         store = init_params(cfg, seed=11)
         img = Tensor(rng.standard_normal((3, 9, 8)).astype(np.float32))
         with pytest.raises(ShapeError):
-            forward([1], img, 0.5, store)
+            forward_batch([[1]], img.reshape(1, 3, 9, 8), [0.5], store)
 
     def test_empty_text_supported(self, rng):
         cfg = tiny_config()
         store = init_params(cfg, seed=12)
         img = Tensor(rng.standard_normal((3, 8, 8)).astype(np.float32))
-        out = forward([], img, 0.5, store)
-        assert out.shape == (3, 8, 8)
+        out = forward_batch([[]], img.reshape(1, 3, 8, 8), [0.5], store)
+        assert out.shape == (1, 3, 8, 8)
 
     def test_fresh_network_outputs_zero_velocity(self, rng):
         # Blocks are identities and the output projection is zero-initialized.
         cfg = tiny_config()
         store = init_params(cfg, seed=13)
         img = Tensor(rng.standard_normal((3, 8, 8)).astype(np.float32))
-        out = forward([1, 2, 3], img, 0.9, store)
+        out = forward_batch([[1, 2, 3]], img.reshape(1, 3, 8, 8), [0.9], store)
         assert (out.data == 0).all()
 
 
@@ -345,10 +346,53 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.lmck"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
-        from lumina_mini.errors import CheckpointError
-
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_every_truncation_rejected(self, tmp_path):
+        # one joint block at width 2 keeps the file small enough to cut everywhere
+        cfg = ModelConfig(dim=2, heads=1, kv_heads=1, layers=1, text_processor_layers=0,
+                          image_processor_layers=0, patch_size=1, vocab_size=2,
+                          axes_split=(2, 0, 0), ffn_hidden=2, channels=1, t_embed_dim=2)
+        path = tmp_path / "full.lmck"
+        save_checkpoint(path, init_params(cfg, seed=0),
+                        extra={"opt.m.tok_emb.w": Tensor(np.ones((2, 2)))})
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.lmck"
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(cut)
+        load_checkpoint(path)
+
+    @pytest.mark.parametrize("drop,misshape", [("final.proj.w", None), (None, "final.proj.b")])
+    def test_parameter_manifest_enforced(self, tmp_path, drop, misshape):
+        full = init_params(tiny_config(), seed=16)
+        partial = ParamStore(full.config)
+        for name, t in full.items():
+            if name != drop:
+                partial.add(name, Tensor(np.zeros(5)) if name == misshape else t)
+        path = tmp_path / "partial.lmck"
+        save_checkpoint(path, partial)
+        with pytest.raises(CheckpointError, match="final.proj"):
+            load_checkpoint(path)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        import lumina_mini.model.checkpoint as ckpt
+
+        store = init_params(tiny_config(), seed=17)
+        path = tmp_path / "model.lmck"
+        save_checkpoint(path, store)
+        before = path.read_bytes()
+
+        def fail(f, t):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(ckpt, "write_tensor", fail)
+        with pytest.raises(OSError):
+            save_checkpoint(path, store)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.lmck"]
 
     def test_optimizer_entries_separated(self, tmp_path):
         cfg = tiny_config()

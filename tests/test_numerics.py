@@ -321,11 +321,3 @@ def test_serialize_bad_magic():
     with pytest.raises(CheckpointError):
         nm.read_tensor(io.BytesIO(b"XXXX" + b"\x00" * 16))
 
-
-def test_compute_graph_trace():
-    x = Tensor(2.0, requires_grad=True)
-    y = (x * x + x).sum()
-    g = nm.ComputeGraph.trace(y)
-    ids = [r.node_id for r in g.records]
-    assert len(ids) == len(set(ids))  # each node visited exactly once
-    assert g.records[-1].node_id == id(y)  # topological: output last

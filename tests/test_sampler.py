@@ -22,6 +22,7 @@ from lumina_mini.sampler import (
     write_ppm,
     x0_prediction,
 )
+from lumina_mini.selfcheck import gaussian_flow_field
 
 
 def micro_config():
@@ -153,23 +154,6 @@ class TestSolverSteps:
 
         midpoint_step(np.ones(2), 0.0, 0.5, field)
         assert len(calls) == 2
-
-
-def gaussian_flow_field(mu: float, gamma: float):
-    """Marginal velocity field of the straight flow from N(0,I) to N(mu, gamma^2 I).
-
-    Closed-form trajectories: x(t) = t*mu + sigma_t * x0 with
-    sigma_t = sqrt((1-t)^2 + (t*gamma)^2).
-    """
-
-    def field(x, t):
-        s2 = (1.0 - t) ** 2 + (t * gamma) ** 2
-        return mu + ((t * gamma * gamma - (1.0 - t)) / s2) * (x - t * mu)
-
-    def exact(x0, t):
-        return t * mu + math.sqrt((1.0 - t) ** 2 + (t * gamma) ** 2) * x0
-
-    return field, exact
 
 
 class TestFdpm:

@@ -105,14 +105,15 @@ class TestTransfer:
         assert state.opt.t == 0
 
     def test_forward_works_at_new_resolution(self, tiny_dataset, vocab):
-        from lumina_mini.model import forward
+        from lumina_mini.model import forward_batch
         from lumina_mini.numerics import Tensor
 
         state = fresh_state(small_config(), seed=9)
         run_stage(state, quick_plan(steps=1), tiny_dataset.tier(1), vocab)
         transfer_checkpoint(state, 32)
-        out = forward([1, 2], Tensor(np.zeros((3, 32, 32), dtype=np.float32)), 0.5, state.params)
-        assert out.shape == (3, 32, 32)
+        img = Tensor(np.zeros((1, 3, 32, 32), dtype=np.float32))
+        out = forward_batch([[1, 2]], img, [0.5], state.params)
+        assert out.shape == (1, 3, 32, 32)
 
     def test_indivisible_resolution_rejected(self):
         state = fresh_state(small_config(), seed=10)
@@ -188,15 +189,15 @@ class TestPipeline:
 class TestSpecExamples:
     def test_text_conditioning_nondegenerate_after_training(self, tiny_dataset, vocab):
         # after ~120 steps, changing a text token moves the output
-        from lumina_mini.model import forward
+        from lumina_mini.model import forward_batch
         from lumina_mini.numerics import Tensor
 
         state = fresh_state(small_config(), seed=21)
         plan = quick_plan(steps=120, batch_size=4, lr=8e-4, warmup_steps=20)
         run_stage(state, plan, tiny_dataset.tier(1), vocab)
-        img = Tensor(np.zeros((3, 16, 16), dtype=np.float32))
-        base = forward(vocab.encode(["red", "circle", "cell_0"]), img, 0.5, state.params)
-        alt = forward(vocab.encode(["blue", "circle", "cell_0"]), img, 0.5, state.params)
+        img = Tensor(np.zeros((1, 3, 16, 16), dtype=np.float32))
+        base = forward_batch([vocab.encode(["red", "circle", "cell_0"])], img, [0.5], state.params)
+        alt = forward_batch([vocab.encode(["blue", "circle", "cell_0"])], img, [0.5], state.params)
         delta = float(np.linalg.norm(base.data - alt.data))
         assert delta > 1e-3, f"text conditioning looks degenerate: L2 delta {delta}"
 
