@@ -60,11 +60,3 @@ def aux_loss(v_pred: Tensor, u, factor: int = 4) -> Tensor:
     diff = avg_pool2d(v_pred, factor) - avg_pool2d(u.detach(), factor)
     return (diff * diff).mean()
 
-
-def total_loss(v_pred: Tensor, u, lambda_aux: float = 1.0, factor: int = 4) -> Tensor:
-    if lambda_aux < 0:
-        raise UsageError(f"lambda_aux must be nonnegative, got {lambda_aux}")
-    loss = fm_loss(v_pred, u)
-    if lambda_aux > 0:
-        loss = loss + lambda_aux * aux_loss(v_pred, u, factor)
-    return loss

@@ -14,7 +14,7 @@ import struct
 
 from ..errors import CheckpointError, ConfigError
 from ..numerics import Tensor, read_tensor, write_tensor
-from .config import ModelConfig, param_shapes
+from .config import ModelConfig
 from .params import ParamStore
 
 MAGIC = b"LMCK"
@@ -64,9 +64,10 @@ def save_checkpoint(
 def load_checkpoint(path):
     """Returns (ParamStore, extra tensors dict, meta dict).
 
-    Raises CheckpointError when the file cannot be read, is cut short, or does
-    not hold exactly the parameters, by name and shape, that ``param_shapes``
-    lists for its config.
+    Raises CheckpointError when the file cannot be read or is cut short, and
+    when its parameter entries are not exactly the slots that ``param_shapes``
+    lists for its config: a name that is unknown, repeated or missing, a
+    shape that differs, or a dtype other than the first parameter's.
     """
     try:
         with open(path, "rb") as f:
@@ -93,10 +94,12 @@ def _read_checkpoint(f):
     try:
         header = json.loads(_read_exact(f, hlen).decode("utf-8"))
         cfg = ModelConfig.from_dict(header["config"])
-        store = ParamStore(cfg, step=header["step"], master_seed=header["master_seed"])
-        meta = header["meta"]
+        step, master_seed, meta = header["step"], header["master_seed"], header["meta"]
     except (ValueError, KeyError, TypeError, ConfigError) as e:
         raise CheckpointError(f"bad checkpoint header: {e}") from e
+    # the arena is allocated at the first parameter entry, in that entry's dtype
+    store = None
+    loaded = set()
     extra: dict[str, Tensor] = {}
     (count,) = struct.unpack("<I", _read_exact(f, 4))
     for _ in range(count):
@@ -108,24 +111,24 @@ def _read_checkpoint(f):
         tensor = read_tensor(f)
         if name.startswith(OPT_PREFIX):
             extra[name] = tensor
-        elif name in store:
+            continue
+        if store is None:
+            store = ParamStore(cfg, step, master_seed, tensor.dtype)
+        if name not in store:
+            raise CheckpointError(f"unexpected parameter {name!r} for this config")
+        if name in loaded:
             raise CheckpointError(f"duplicate parameter {name!r}")
-        else:
-            tensor.requires_grad = True
-            tensor.grad = Tensor(tensor.data * 0, tensor.dtype)
-            store.add(name, tensor)
-    _check_manifest(store)
+        slot = store[name]
+        if (tensor.dtype, tensor.shape) != (store.dtype, slot.shape):
+            raise CheckpointError(
+                f"parameter {name!r} is {tensor.dtype} {tensor.shape}, "
+                f"expected {store.dtype} {slot.shape}"
+            )
+        slot.data[...] = tensor.data
+        loaded.add(name)
+    if store is None:
+        raise CheckpointError("checkpoint holds no parameters")
+    missing = [name for name in store.names() if name not in loaded]
+    if missing:
+        raise CheckpointError(f"parameters missing from checkpoint: {missing}")
     return store, extra, meta
-
-
-def _check_manifest(store: ParamStore) -> None:
-    expected = dict(param_shapes(store.config))
-    found = {name: t.shape for name, t in store.items()}
-    if found != expected:
-        missing = [n for n in expected if n not in found]
-        unexpected = [n for n in found if n not in expected]
-        misshapen = [n for n in found if n in expected and found[n] != expected[n]]
-        raise CheckpointError(
-            f"parameters do not match the config: missing {missing}, "
-            f"unexpected {unexpected}, wrong shape {misshapen}"
-        )

@@ -6,6 +6,7 @@ initialization, counting, and checkpoint validation all derive from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 from ..errors import ConfigError
@@ -42,6 +43,8 @@ class ModelConfig:
         return self.dim // self.heads
 
     def validate(self) -> None:
+        if self.heads < 1 or self.kv_heads < 1:
+            raise ConfigError(f"heads and kv_heads must be >= 1, got {self.heads}, {self.kv_heads}")
         if self.dim % self.heads:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.heads % self.kv_heads:
@@ -142,10 +145,4 @@ def param_shapes(cfg: ModelConfig):
 
 
 def count_params(cfg: ModelConfig) -> int:
-    total = 0
-    for _, shape in param_shapes(cfg):
-        n = 1
-        for s in shape:
-            n *= s
-        total += n
-    return total
+    return sum(math.prod(shape) for _, shape in param_shapes(cfg))

@@ -4,17 +4,13 @@ from .tensor import (
     avg_pool2d,
     concat,
     embedding,
-    full,
     matmul,
     no_grad,
     ones,
-    randn,
     rms_norm,
     sinusoid,
     softmax_lastdim,
     split,
-    zero_grads,
-    zeros,
 )
 from .serialize import load_tensor, read_tensor, save_tensor, write_tensor
 
@@ -24,17 +20,13 @@ __all__ = [
     "avg_pool2d",
     "concat",
     "embedding",
-    "full",
     "matmul",
     "no_grad",
     "ones",
-    "randn",
     "rms_norm",
     "sinusoid",
     "softmax_lastdim",
     "split",
-    "zero_grads",
-    "zeros",
     "load_tensor",
     "read_tensor",
     "save_tensor",

@@ -108,10 +108,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad.data[...] = 0
-
     def detach(self) -> "Tensor":
         t = Tensor.__new__(Tensor)
         t.data = self.data
@@ -325,8 +321,8 @@ class Tensor:
     def backward(self) -> None:
         """Populate ``.grad`` of every reachable leaf with dSelf/dLeaf.
 
-        Requires a scalar (single-element) tensor. Accumulates: call
-        ``zero_grad`` on leaves between independent passes.
+        Requires a scalar (single-element) tensor. Accumulates: clear the
+        leaves' gradients (``ParamStore.zero_grad``) between independent passes.
         """
         if self.data.size != 1:
             raise UsageError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -372,21 +368,8 @@ def _toposort(root: Tensor) -> list:
 # -- free functions ----------------------------------------------------------
 
 
-def zeros(shape, dtype: str = "f32", requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=DTYPES[dtype]), dtype, requires_grad)
-
-
 def ones(shape, dtype: str = "f32", requires_grad: bool = False) -> Tensor:
     return Tensor(np.ones(shape, dtype=DTYPES[dtype]), dtype, requires_grad)
-
-
-def full(shape, value, dtype: str = "f32") -> Tensor:
-    return Tensor(np.full(shape, value, dtype=DTYPES[dtype]), dtype)
-
-
-def randn(shape, rng: np.random.Generator, dtype: str = "f32", scale: float = 1.0,
-          requires_grad: bool = False) -> Tensor:
-    return Tensor(rng.standard_normal(shape) * scale, dtype, requires_grad)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -556,8 +539,3 @@ def sinusoid(positions, dim: int, dtype: str = "f32", max_period: float = 10000.
     args = pos[:, None] * freqs[None, :]
     table = np.concatenate([np.sin(args), np.cos(args)], axis=-1)
     return Tensor(table.astype(DTYPES[dtype]), dtype)
-
-
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.zero_grad()

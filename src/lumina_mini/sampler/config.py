@@ -66,7 +66,6 @@ class CacheState:
     last_output: np.ndarray | None = None
     accumulated: float = 0.0
     last_mod_signal: np.ndarray | None = None
-    evals_skipped: int = 0
 
 
 @dataclass

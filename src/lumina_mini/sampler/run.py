@@ -109,7 +109,6 @@ def sample_batch(
                     skipped = evals_at(t)
                     if sconf.solver == "midpoint":
                         skipped += evals_at(t + 0.5 * dt)
-                    cache.evals_skipped += skipped
                     report.skipped += skipped
                     x = x + dt * cache.last_output
                     history.clear()  # multistep assumptions break across a hold

@@ -25,7 +25,6 @@ from .vocab import (
     COL_NAMES,
     COLOR_NAMES,
     FINISH_NAMES,
-    LANG_EN,
     LUM_NAMES,
     PAD,
     PALETTE_NAMES,
@@ -44,7 +43,6 @@ WARM_COLORS = frozenset(("red", "yellow", "magenta"))
 class Caption:
     granularity: str
     tokens: list  # vocabulary ids
-    language_tag: str = LANG_EN
 
 
 def _size_token(scene: Scene) -> str:

@@ -1,5 +1,5 @@
 from .metrics import COLUMNS, MetricRow, MetricsLog
-from .optim import AdamW, clip_grad_norm, grad_global_norm
+from .optim import AdamW, clip_grad_norm
 from .stages import (
     StagePlan,
     TrainState,
@@ -23,7 +23,6 @@ __all__ = [
     "clip_grad_norm",
     "draw_batch",
     "fresh_state",
-    "grad_global_norm",
     "load_state",
     "run_pipeline",
     "run_stage",

@@ -6,13 +6,20 @@ import math
 
 import numpy as np
 
+from ..errors import CheckpointError
 from ..model.params import ParamStore
+from ..numerics import Tensor
+
+
+# Elements per pass of AdamW.step, small enough that its inputs and two
+# temporaries stay in cache: whole-buffer passes were 40 ms per step, not 24.
+CHUNK = 1 << 16
 
 
 class AdamW:
-    """Moments are kept in the parameter dtype so checkpoints round-trip
-    bit-exactly. Weight decay applies to matrices only; gains and biases
-    (1-D parameters) are exempt."""
+    """Moments are two flat buffers laid out like the parameter arena, in its
+    dtype, so checkpoints round-trip bit-exactly. Weight decay applies to
+    matrices only; gains and biases (1-D parameters) are exempt."""
 
     def __init__(
         self,
@@ -28,65 +35,74 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in store.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in store.items()}
+        self.m = np.zeros_like(store.data)
+        self.v = np.zeros_like(store.data)
+        self._decayed = np.zeros(store.data.size, dtype=bool)
+        for name, p in store.items():
+            store.view(self._decayed, name)[...] = p.ndim > 1
+        self._scratch = np.empty(2 * min(CHUNK, store.data.size), dtype=store.data.dtype)
 
     def step(self, lr: float | None = None) -> None:
         lr = self.lr if lr is None else lr
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for name, p in self.store.items():
-            g = p.grad.data
-            m = self.m[name]
-            v = self.v[name]
+        for lo in range(0, self.m.size, CHUNK):
+            part = slice(lo, lo + CHUNK)
+            p, g, m, v = self.store.data[part], self.store.grad[part], self.m[part], self.v[part]
+            a, b = self._scratch[: p.size], self._scratch[p.size : 2 * p.size]
+            # each line rounds as written; reordering them would move every later loss
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            m += a
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
-            if self.weight_decay and p.data.ndim > 1:
-                update = update + self.weight_decay * p.data
-            p.data[...] = p.data - lr * update
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            a *= g
+            v += a
+            np.divide(m, c1, out=a)
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            if self.weight_decay:
+                decayed = self._decayed[part]
+                np.multiply(p, self.weight_decay, out=b, where=decayed)
+                np.add(a, b, out=a, where=decayed)
+            a *= lr
+            p -= a
 
     def reset_moments(self) -> None:
-        for name in self.m:
-            self.m[name][...] = 0
-            self.v[name][...] = 0
+        self.m.fill(0)
+        self.v.fill(0)
         self.t = 0
 
     def state_tensors(self) -> dict:
-        """Moment arrays under the reserved checkpoint prefix."""
-        from ..numerics import Tensor
-
+        """Per-parameter views of the moments under the reserved checkpoint prefix."""
         out = {}
-        for name in self.m:
-            dtype = "f32" if self.m[name].dtype == np.float32 else "f64"
-            out[f"opt.m.{name}"] = Tensor(self.m[name], dtype)
-            out[f"opt.v.{name}"] = Tensor(self.v[name], dtype)
+        for name in self.store.names():
+            out[f"opt.m.{name}"] = Tensor(self.store.view(self.m, name), self.store.dtype)
+            out[f"opt.v.{name}"] = Tensor(self.store.view(self.v, name), self.store.dtype)
         return out
 
     def load_state_tensors(self, extra: dict, t: int) -> None:
-        for name in self.m:
-            self.m[name][...] = extra[f"opt.m.{name}"].data
-            self.v[name][...] = extra[f"opt.v.{name}"].data
+        for key, target in self.state_tensors().items():
+            entry = extra.get(key)
+            if entry is None or (entry.dtype, entry.shape) != (target.dtype, target.shape):
+                raise CheckpointError(
+                    f"optimizer entry {key!r} is missing or not {target.dtype} {target.shape}"
+                )
+            target.data[...] = entry.data
         self.t = t
-
-
-def grad_global_norm(store: ParamStore) -> float:
-    total = 0.0
-    for _, p in store.items():
-        g = p.grad.data
-        total += float((g.astype(np.float64) ** 2).sum())
-    return math.sqrt(total)
 
 
 def clip_grad_norm(store: ParamStore, max_norm: float) -> float:
     """Scale all gradients so the global norm is at most max_norm; returns
-    the pre-clip norm."""
-    norm = grad_global_norm(store)
+    the pre-clip norm. The squares are summed in f64 per parameter and the
+    sums added in manifest order: one dot over the whole buffer rounds
+    differently in the last place, which would move every later loss."""
+    norm = math.sqrt(
+        sum(float(np.square(p.grad.data, dtype=np.float64).sum()) for _, p in store.items())
+    )
     if norm > max_norm > 0:
-        scale = max_norm / norm
-        for _, p in store.items():
-            p.grad.data *= scale
+        store.grad *= max_norm / norm
     return norm

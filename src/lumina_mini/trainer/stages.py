@@ -55,6 +55,8 @@ class StagePlan:
             raise ConfigError(f"granularity_mix must sum to 1, got {self.granularity_mix}")
         if self.steps < 0 or self.batch_size < 1:
             raise ConfigError("steps must be >= 0 and batch_size >= 1")
+        if self.lambda_aux < 0 or self.aux_factor < 1:
+            raise ConfigError("lambda_aux must be >= 0 and aux_factor >= 1")
 
 
 @dataclass
@@ -207,6 +209,9 @@ def run_pipeline(
 ):
     """Run all stages in order, transferring between resolution changes.
     Returns {stage name: loss list}."""
+    unknown = [plan.tier for plan in plans if plan.tier not in tiers]
+    if unknown:
+        raise ConfigError(f"stage tiers {unknown} not among the dataset's {sorted(tiers)}")
     vocab = vocab or build_vocabulary()
     results = {}
     current_res = None

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,13 @@ def live_params(cfg, seed=0):
         if name.endswith((".ada.w", "final.proj.w")):
             t.data[...] = rng.standard_normal(t.shape) * 0.5
     return store
+
+
+def raw_store(config, entries):
+    """What ``save_checkpoint`` reads of a ParamStore, holding any (name,
+    Tensor) entries: writes the malformed files the arena cannot hold."""
+    entries = list(entries)
+    return SimpleNamespace(config=config, step=0, master_seed=0, items=lambda: entries)
 
 
 def pytest_collection_modifyitems(items):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import live_params
+from conftest import live_params, raw_store
 from lumina_mini.cli import main
 from lumina_mini.configio import (
     apply_overrides,
@@ -13,7 +13,7 @@ from lumina_mini.configio import (
     parse_config,
 )
 from lumina_mini.errors import ConfigError
-from lumina_mini.model import ModelConfig, ParamStore, init_params, save_checkpoint
+from lumina_mini.model import ModelConfig, init_params, save_checkpoint
 from lumina_mini.numerics import load_tensor
 from lumina_mini.sampler import GuidanceConfig, SamplerConfig, sample_batch
 from lumina_mini.synthdata import (
@@ -127,6 +127,17 @@ class TestTrainCommand:
         assert len(ckpts) == 3
         assert (run_dir / "state_final.lmck").exists()
 
+    @pytest.mark.parametrize("overrides", [
+        ["model.heads=0"],
+        ["model.kv_heads=0"],
+        ["stages.low_res.tier=5"],
+        ["stages.low_res.aux_factor=0", "stages.low_res.lambda_aux=1.0"],
+        ["stages.high_res.lambda_aux=-1"],
+    ], ids=["heads", "kv_heads", "tier", "aux_factor", "lambda_aux"])
+    def test_bad_model_or_stage_value_exit_2(self, tmp_path, overrides):
+        argv = ["train", "--out", str(tmp_path)] + TINY_MODEL_OVERRIDES
+        assert main(argv + [f"--{o}" for o in overrides]) == 2
+
     def test_resolved_config_reproduces_run(self, tmp_path):
         assert (
             main(["train", "--out", str(tmp_path), "--run-id", "a"] + TINY_MODEL_OVERRIDES)
@@ -195,11 +206,8 @@ class TestSampleCommand:
             bad.write_bytes(good[: len(good) // 2])
         elif damage == "no_final_proj":
             full = init_params(TINY_MODEL, seed=0)
-            store = ParamStore(TINY_MODEL)
-            for name, t in full.items():
-                if name != "final.proj.w":
-                    store.add(name, t)
-            save_checkpoint(bad, store)
+            entries = [(name, t) for name, t in full.items() if name != "final.proj.w"]
+            save_checkpoint(bad, raw_store(TINY_MODEL, entries))
         assert main(["sample", "--ckpt", str(bad), "--out", str(tmp_path)]) == 2
 
     def test_same_seed_byte_identical(self, tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import autodiff_grad, rel_err
 from lumina_mini.errors import ShapeError, UsageError
-from lumina_mini.flow import aux_loss, fm_loss, interpolate, total_loss
+from lumina_mini.flow import aux_loss, fm_loss, interpolate
 from lumina_mini.numerics import Tensor
 
 
@@ -101,35 +101,3 @@ class TestAuxLoss:
         with pytest.raises(ShapeError):
             aux_loss(Tensor(rng.standard_normal((3, 6, 6))), Tensor(rng.standard_normal((3, 6, 6))), 4)
 
-
-class TestTotalLoss:
-    def test_lambda_zero_is_fm(self, rng):
-        v = rng.standard_normal((3, 8, 8))
-        u = rng.standard_normal((3, 8, 8))
-        a = total_loss(Tensor(v, "f64"), Tensor(u, "f64"), lambda_aux=0.0).item()
-        b = fm_loss(Tensor(v, "f64"), Tensor(u, "f64")).item()
-        assert a == b
-
-    def test_zero_at_exact_prediction(self, rng):
-        u = rng.standard_normal((3, 8, 8))
-        for lam in (0.0, 0.5, 2.0):
-            assert total_loss(Tensor(u, "f64"), Tensor(u, "f64"), lam).item() == 0.0
-
-    def test_linear_in_lambda(self, rng):
-        v = rng.standard_normal((3, 8, 8))
-        u = rng.standard_normal((3, 8, 8))
-        f = fm_loss(Tensor(v, "f64"), Tensor(u, "f64")).item()
-        a = aux_loss(Tensor(v, "f64"), Tensor(u, "f64"), 4).item()
-        for lam in (0.3, 1.7):
-            tot = total_loss(Tensor(v, "f64"), Tensor(u, "f64"), lam).item()
-            assert tot == pytest.approx(f + lam * a, rel=1e-12)
-
-    def test_negative_lambda_rejected(self, rng):
-        v = Tensor(rng.standard_normal((3, 4, 4)))
-        with pytest.raises(UsageError):
-            total_loss(v, v, lambda_aux=-1.0)
-
-    def test_nonnegative(self, rng):
-        v = rng.standard_normal((3, 8, 8))
-        u = rng.standard_normal((3, 8, 8))
-        assert total_loss(Tensor(v, "f64"), Tensor(u, "f64"), 1.0).item() >= 0.0

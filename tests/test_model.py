@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import raw_store
 from lumina_mini.errors import CheckpointError, ConfigError, DataError, ShapeError, UsageError
 from lumina_mini.model import (
     ModelConfig,
-    ParamStore,
     apply_mrope,
     assign_coords,
     count_params,
@@ -62,8 +62,59 @@ class TestConfig:
     def test_count_matches_allocation(self):
         cfg = tiny_config()
         store = init_params(cfg, seed=0)
-        assert store.total_params() == count_params(cfg)
+        assert store.data.size == count_params(cfg)
         assert store.names() == [name for name, _ in param_shapes(cfg)]
+
+
+def _offset(view, base):
+    """Element offset of ``view``'s first element inside the flat ``base``."""
+    start = view.__array_interface__["data"][0] - base.__array_interface__["data"][0]
+    return start // base.itemsize
+
+
+class TestParamArena:
+    def test_leaves_are_views_of_the_two_buffers(self):
+        store = init_params(tiny_config(), seed=19)
+        for name, t in store.items():
+            assert np.shares_memory(t.data, store.data), name
+            assert np.shares_memory(t.grad.data, store.grad), name
+            assert not np.shares_memory(t.data, store.grad), name
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_slots_tile_buffers_in_manifest_order(self, dtype):
+        cfg = tiny_config()
+        store = init_params(cfg, seed=20, dtype=dtype)
+        assert store.data.dtype == store.grad.dtype == np.dtype(dtype.replace("f", "float"))
+        offset = 0
+        for (name, shape), (got, t) in zip(param_shapes(cfg), store.items()):
+            assert got == name and t.shape == shape
+            assert _offset(t.data, store.data) == offset
+            assert _offset(t.grad.data, store.grad) == offset
+            offset += t.size
+        assert offset == store.data.size == store.grad.size == count_params(cfg)
+
+    def test_backward_accumulates_into_grad_buffer(self, rng):
+        store = init_params(tiny_config(), seed=21)
+        x = Tensor(rng.standard_normal((1, 3, 4, 4)).astype(np.float32))
+        forward_batch([[1, 2]], x, [0.5], store).sum().backward()
+        assert np.abs(store.grad).max() > 0
+        leaves = np.concatenate([t.grad.data.reshape(-1) for _, t in store.items()])
+        assert (leaves == store.grad).all()
+
+    def test_zero_grad_and_clone_act_on_whole_buffers(self):
+        store = init_params(tiny_config(), seed=22)
+        store.grad[...] = 1.0
+        store.step = 9
+        twin = store.clone()
+        assert (twin.data == store.data).all() and not np.shares_memory(twin.data, store.data)
+        assert not twin.grad.any() and twin.step == 9
+        assert twin.names() == store.names()
+        twin["tok_emb.w"].data[...] = 7.0
+        assert (twin.data != store.data).any()
+        assert (store["tok_emb.w"].data != 7.0).all()
+        store.zero_grad()
+        assert not store.grad.any()
+        assert all(not t.grad.data.any() for _, t in store.items())
 
 
 class TestPatchify:
@@ -365,15 +416,24 @@ class TestCheckpoint:
                 load_checkpoint(cut)
         load_checkpoint(path)
 
-    @pytest.mark.parametrize("drop,misshape", [("final.proj.w", None), (None, "final.proj.b")])
-    def test_parameter_manifest_enforced(self, tmp_path, drop, misshape):
+    @pytest.mark.parametrize("damage", ["missing", "misshapen", "unknown", "duplicate",
+                                        "mixed_dtype"])
+    def test_parameter_manifest_enforced(self, tmp_path, damage):
         full = init_params(tiny_config(), seed=16)
-        partial = ParamStore(full.config)
-        for name, t in full.items():
-            if name != drop:
-                partial.add(name, Tensor(np.zeros(5)) if name == misshape else t)
-        path = tmp_path / "partial.lmck"
-        save_checkpoint(path, partial)
+        entries = list(full.items())
+        bias = full["final.proj.b"]
+        if damage == "missing":
+            entries = [(name, t) for name, t in entries if name != "final.proj.w"]
+        elif damage == "misshapen":
+            entries[-1] = ("final.proj.b", Tensor(np.zeros(5)))
+        elif damage == "unknown":
+            entries.append(("final.proj.extra", bias))
+        elif damage == "duplicate":
+            entries.append(("final.proj.b", bias))
+        else:
+            entries[-1] = ("final.proj.b", Tensor(bias.data, "f64"))
+        path = tmp_path / f"{damage}.lmck"
+        save_checkpoint(path, raw_store(full.config, entries))
         with pytest.raises(CheckpointError, match="final.proj"):
             load_checkpoint(path)
 

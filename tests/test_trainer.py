@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from lumina_mini.errors import ConfigError
-from lumina_mini.model import ModelConfig
+from lumina_mini.errors import CheckpointError, ConfigError
+from lumina_mini.model import ModelConfig, save_checkpoint
+from lumina_mini.numerics import Tensor
 from lumina_mini.synthdata import build_hierarchical_dataset, build_vocabulary
 from lumina_mini.trainer import (
     MetricsLog,
@@ -99,9 +100,9 @@ class TestTransfer:
     def test_moments_reset(self, tiny_dataset, vocab):
         state = fresh_state(small_config(), seed=8)
         run_stage(state, quick_plan(steps=2), tiny_dataset.tier(1), vocab)
-        assert any((m != 0).any() for m in state.opt.m.values())
+        assert (state.opt.m != 0).any()
         transfer_checkpoint(state, 32)
-        assert all((m == 0).all() for m in state.opt.m.values())
+        assert (state.opt.m == 0).all()
         assert state.opt.t == 0
 
     def test_forward_works_at_new_resolution(self, tiny_dataset, vocab):
@@ -148,8 +149,22 @@ class TestResumability:
         assert back.params.step == state.params.step
         assert back.stage_index == state.stage_index
         assert back.opt.t == state.opt.t
-        for name in state.opt.m:
-            assert (back.opt.m[name] == state.opt.m[name]).all()
+        assert (back.opt.m == state.opt.m).all()
+        assert (back.opt.v == state.opt.v).all()
+
+    @pytest.mark.parametrize("damage", ["missing", "misshapen"])
+    def test_bad_moment_entry_rejected(self, tiny_dataset, vocab, tmp_path, damage):
+        state = fresh_state(small_config(), seed=16)
+        run_stage(state, quick_plan(steps=1), tiny_dataset.tier(1), vocab)
+        extra = state.opt.state_tensors()
+        if damage == "missing":
+            del extra["opt.v.final.proj.b"]
+        else:  # one row of a (vocab, dim) moment would broadcast into the slot
+            extra["opt.m.tok_emb.w"] = Tensor(extra["opt.m.tok_emb.w"].data[:1])
+        path = tmp_path / f"{damage}.lmck"
+        save_checkpoint(path, state.params, extra=extra, meta={"opt_t": state.opt.t})
+        with pytest.raises(CheckpointError, match="opt"):
+            load_state(path)
 
 
 class TestPipeline:
