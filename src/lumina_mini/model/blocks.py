@@ -10,7 +10,7 @@ Text-processor blocks run without timestep conditioning: scale = shift = 0,
 gate = 1, a plain sandwich block.
 
 Everything operates on batched [B, L, dim] activations; a single sequence is
-a batch of one. Token coordinates are shared across the batch.
+a batch of one. The rotary tables are shared across the batch.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ def timestep_embedding(t: float, store: ParamStore) -> Tensor:
     return timestep_embedding_batch([t], store).reshape(store.config.dim)
 
 
-def attention_batch(x: Tensor, coords: np.ndarray, store: ParamStore, prefix: str) -> Tensor:
-    """Joint attention over [B, L, dim]; coords shared across the batch.
+def attention_batch(x: Tensor, rope, store: ParamStore, prefix: str) -> Tensor:
+    """Joint attention over [B, L, dim]; ``rope`` is the (cos, sin) pair of
+    [L, head_dim] rotary tables, shared across the batch.
 
     Queries and keys are RMS-normalized per head (learned gains) before the
     rotary rotation; KV heads are shared across query-head groups.
@@ -61,8 +62,8 @@ def attention_batch(x: Tensor, coords: np.ndarray, store: ParamStore, prefix: st
 
     q = rms_norm(q, store[f"{prefix}.attn.qn"], cfg.rmsnorm_eps)
     k = rms_norm(k, store[f"{prefix}.attn.kn"], cfg.rmsnorm_eps)
-    q = apply_mrope(q, coords, cfg.axes_split, base=cfg.rope_base)
-    k = apply_mrope(k, coords, cfg.axes_split, base=cfg.rope_base)
+    q = apply_mrope(q, rope)
+    k = apply_mrope(k, rope)
 
     # scale q instead of the [L, L] score matrix; same product, smaller array
     qg = (q * (1.0 / math.sqrt(hd))).transpose(0, 2, 1, 3).reshape(B, KV, groups, L, hd)
@@ -89,9 +90,10 @@ def _modulation(t_emb: Tensor, store: ParamStore, name: str, parts: int):
 
 
 def block_batch(
-    x: Tensor, coords: np.ndarray, store: ParamStore, prefix: str, t_emb: Tensor | None
+    x: Tensor, rope, store: ParamStore, prefix: str, t_emb: Tensor | None
 ) -> Tensor:
-    """One block over [B, L, dim]; t_emb is [B, dim] or None."""
+    """One block over [B, L, dim]; rope as in ``attention_batch``; t_emb is
+    [B, dim] or None."""
     cfg = store.config
     eps = cfg.rmsnorm_eps
     if t_emb is not None:
@@ -102,7 +104,7 @@ def block_batch(
     h = rms_norm(x, store[f"{prefix}.norm1.g"], eps)
     if t_emb is not None:
         h = h * (scale1 + 1.0) + shift1
-    a = attention_batch(h, coords, store, prefix)
+    a = attention_batch(h, rope, store, prefix)
     a = rms_norm(a, store[f"{prefix}.norm1_post.g"], eps)
     if t_emb is not None:
         a = a * gate1

@@ -14,6 +14,7 @@ import struct
 
 from ..errors import CheckpointError, ConfigError
 from ..numerics import Tensor, read_tensor, write_tensor
+from ..numerics.serialize import read_payload_into, read_tensor_header
 from .config import ModelConfig
 from .params import ParamStore
 
@@ -108,23 +109,24 @@ def _read_checkpoint(f):
             name = _read_exact(f, nlen).decode("utf-8")
         except UnicodeDecodeError as e:
             raise CheckpointError(f"bad entry name: {e}") from e
-        tensor = read_tensor(f)
         if name.startswith(OPT_PREFIX):
-            extra[name] = tensor
+            extra[name] = read_tensor(f)
             continue
+        # a parameter is checked against its slot from the header alone, then
+        # its payload is read straight into the slot
+        dtype, shape = read_tensor_header(f)
         if store is None:
-            store = ParamStore(cfg, step, master_seed, tensor.dtype)
+            store = ParamStore(cfg, step, master_seed, dtype)
         if name not in store:
             raise CheckpointError(f"unexpected parameter {name!r} for this config")
         if name in loaded:
             raise CheckpointError(f"duplicate parameter {name!r}")
         slot = store[name]
-        if (tensor.dtype, tensor.shape) != (store.dtype, slot.shape):
+        if (dtype, shape) != (store.dtype, slot.shape):
             raise CheckpointError(
-                f"parameter {name!r} is {tensor.dtype} {tensor.shape}, "
-                f"expected {store.dtype} {slot.shape}"
+                f"parameter {name!r} is {dtype} {shape}, expected {store.dtype} {slot.shape}"
             )
-        slot.data[...] = tensor.data
+        read_payload_into(f, slot.data)
         loaded.add(name)
     if store is None:
         raise CheckpointError("checkpoint holds no parameters")

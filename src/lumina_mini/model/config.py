@@ -59,8 +59,8 @@ class ModelConfig:
             raise ConfigError(f"axes_split entries must be even (rotary pairs): {self.axes_split}")
         if self.patch_size < 1:
             raise ConfigError(f"patch_size must be >= 1, got {self.patch_size}")
-        if self.t_embed_dim % 2:
-            raise ConfigError("t_embed_dim must be even")
+        if self.t_embed_dim < 2 or self.t_embed_dim % 2:
+            raise ConfigError(f"t_embed_dim must be even and >= 2, got {self.t_embed_dim}")
 
     def to_dict(self) -> dict:
         d = asdict(self)

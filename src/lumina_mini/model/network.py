@@ -9,7 +9,7 @@ back to patch pixels.
 
 Every sample in a batch runs through each layer at once; a single sample is
 a batch of one. All prompts in a batch must share one length (callers pad with
-the dedicated pad token), so no attention mask is needed and token coordinates
+the dedicated pad token), so no attention mask is needed and the rotary tables
 are shared batch-wide.
 """
 
@@ -21,7 +21,7 @@ from ..errors import DataError, ShapeError, UsageError
 from ..numerics import Tensor, concat, embedding, matmul, ones, rms_norm
 from .blocks import block_batch, timestep_embedding_batch, _modulation
 from .params import ParamStore
-from .rope import assign_coords
+from .rope import assign_coords, rope_tables
 
 
 def patchify(image: Tensor, patch_size: int) -> Tensor:
@@ -91,24 +91,29 @@ def forward_batch(
 
     if t_emb is None:
         t_emb = timestep_embedding_batch(ts, store)
-    coords = assign_coords(text_len, prows, pcols)
+    # one set of rotary tables per forward; rows follow the coordinates, so the
+    # text and image paths take row slices of the joint tables
+    rope = rope_tables(assign_coords(text_len, prows, pcols), cfg.axes_split,
+                       dtype=images.data.dtype, base=cfg.rope_base)
+    text_rope = tuple(t[:text_len] for t in rope)
+    image_rope = tuple(t[text_len:] for t in rope)
 
     # Text path: token table then plain sandwich blocks, no timestep.
     txt = None
     if text_len:
         txt = embedding(store["tok_emb.w"], np.asarray(rows_list, dtype=np.int64))
         for i in range(cfg.text_processor_layers):
-            txt = block_batch(txt, coords[:text_len], store, f"text_proc.{i}", None)
+            txt = block_batch(txt, text_rope, store, f"text_proc.{i}", None)
 
     # Image path: patch embedding then timestep-conditioned blocks.
     img = matmul(_patchify_batch(images, p), store["patch_emb.w"]) + store["patch_emb.b"]
     for i in range(cfg.image_processor_layers):
-        img = block_batch(img, coords[text_len:], store, f"img_proc.{i}", t_emb)
+        img = block_batch(img, image_rope, store, f"img_proc.{i}", t_emb)
 
     # Joint single-stream blocks over the concatenated sequence.
     x = concat([txt, img], axis=1) if txt is not None else img
     for i in range(cfg.layers):
-        x = block_batch(x, coords, store, f"blocks.{i}", t_emb)
+        x = block_batch(x, rope, store, f"blocks.{i}", t_emb)
 
     # Output head: modulated norm then linear back to patch pixels.
     x_img = x.narrow(1, text_len, prows * pcols)

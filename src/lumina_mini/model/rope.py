@@ -33,18 +33,17 @@ def assign_coords(text_len: int, rows: int, cols: int) -> np.ndarray:
     return coords
 
 
-def _validate_split(axes_split, head_dim: int) -> None:
-    if len(axes_split) != 3 or sum(axes_split) != head_dim or any(a % 2 for a in axes_split):
-        raise ConfigError(
-            f"axes_split {tuple(axes_split)} invalid for head_dim {head_dim}: "
-            "need three even extents summing to head_dim"
-        )
-
-
 def rope_tables(coords: np.ndarray, axes_split, dtype=np.float64, base: float = ROPE_BASE):
-    """cos/sin tables of shape [L, head_dim] for the banded three-axis rotation."""
+    """cos/sin tables of shape [L, head_dim] for the banded three-axis rotation.
+
+    Row i depends on coords[i] alone, so the tables of a slice of the
+    coordinates are the same slice of the tables.
+    """
+    if len(axes_split) != 3 or any(a % 2 for a in axes_split):
+        raise ConfigError(
+            f"axes_split {tuple(axes_split)} invalid: need three even extents"
+        )
     head_dim = sum(axes_split)
-    _validate_split(axes_split, head_dim)
     coords = np.asarray(coords)
     L = coords.shape[0]
     cos = np.empty((L, head_dim), dtype=dtype)
@@ -60,8 +59,12 @@ def rope_tables(coords: np.ndarray, axes_split, dtype=np.float64, base: float = 
     return cos, sin
 
 
-def apply_mrope(x: Tensor, coords: np.ndarray, axes_split, base: float = ROPE_BASE) -> Tensor:
-    """Rotate [..., L, heads, head_dim] queries or keys by coordinate triples."""
-    _validate_split(axes_split, x.shape[-1])
-    cos, sin = rope_tables(coords, axes_split, dtype=x.data.dtype, base=base)
+def apply_mrope(x: Tensor, rope) -> Tensor:
+    """Rotate [..., L, heads, head_dim] queries or keys by ``rope``, the
+    (cos, sin) pair of [L, head_dim] tables from ``rope_tables``."""
+    cos, sin = rope
+    if cos.shape[-1] != x.shape[-1]:
+        raise ConfigError(
+            f"rotary tables are {cos.shape[-1]} wide but head_dim is {x.shape[-1]}"
+        )
     return apply_rotary(x, cos[:, None, :], sin[:, None, :])

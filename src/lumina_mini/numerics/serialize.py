@@ -7,11 +7,12 @@ u32 extents, then the raw little-endian values in row-major order.
 from __future__ import annotations
 
 import struct
+import sys
 
 import numpy as np
 
 from ..errors import CheckpointError
-from .tensor import Tensor
+from .tensor import DTYPES, Tensor
 
 MAGIC = b"LMT1"
 _TAG_OF = {"f32": 0, "f64": 1}
@@ -26,7 +27,8 @@ def write_tensor(f, t: Tensor) -> None:
     f.write(np.ascontiguousarray(t.data, dtype=_DTYPE_OF[_TAG_OF[t.dtype]]).tobytes())
 
 
-def read_tensor(f) -> Tensor:
+def read_tensor_header(f) -> tuple:
+    """(dtype name, shape) of the blob at ``f``, which is left at its payload."""
     magic = f.read(4)
     if magic != MAGIC:
         raise CheckpointError(f"bad tensor magic {magic!r}, expected {MAGIC!r}")
@@ -39,16 +41,23 @@ def read_tensor(f) -> Tensor:
     raw = f.read(4 * rank)
     if len(raw) != 4 * rank:
         raise CheckpointError("truncated tensor extents")
-    shape = struct.unpack(f"<{rank}I", raw)
-    count = 1
-    for n in shape:
-        count *= n
-    itemsize = 4 if tag == 0 else 8
-    buf = f.read(count * itemsize)
-    if len(buf) != count * itemsize:
+    return _NAME_OF[tag], struct.unpack(f"<{rank}I", raw)
+
+
+def read_payload_into(f, out: np.ndarray) -> None:
+    """Fill the C-contiguous native-endian ``out`` with the payload at ``f``,
+    read straight into its memory."""
+    if f.readinto(out) != out.nbytes:
         raise CheckpointError("truncated tensor payload")
-    data = np.frombuffer(buf, dtype=_DTYPE_OF[tag]).reshape(shape)
-    return Tensor(data.copy(), _NAME_OF[tag])
+    if sys.byteorder == "big":  # payloads are little-endian
+        out.byteswap(inplace=True)
+
+
+def read_tensor(f) -> Tensor:
+    dtype, shape = read_tensor_header(f)
+    data = np.empty(shape, dtype=DTYPES[dtype])
+    read_payload_into(f, data)
+    return Tensor(data, dtype)
 
 
 def save_tensor(path, t: Tensor) -> None:

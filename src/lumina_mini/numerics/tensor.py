@@ -226,7 +226,11 @@ class Tensor:
 
     def silu(self):
         a = self
-        s = 1.0 / (1.0 + np.exp(-a.data))
+        # the sigmoid built in one buffer: 1 / (1 + exp(-x))
+        s = np.negative(a.data)
+        np.exp(s, out=s)
+        s += 1.0
+        np.divide(1.0, s, out=s)
 
         def bwd(g):
             return (g * s * (1.0 + a.data * (1.0 - s)),)
@@ -373,7 +377,13 @@ def ones(shape, dtype: str = "f32", requires_grad: bool = False) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product over the last two dims; leading dims broadcast."""
+    """Batched matrix product over the last two dims; leading dims broadcast.
+
+    A 2-D right operand (a weight) multiplies all leading dims of ``a`` as one
+    flat [rows, k] GEMM, forward and for the input gradient. The weight
+    gradient stays a batched product summed over the batch: a flat one would
+    add the rows in another order and change every training loss.
+    """
     if not isinstance(b, Tensor):
         b = a._coerce(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -382,13 +392,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
     if a.data.dtype != b.data.dtype:
         raise UsageError(f"dtype mismatch: {a.dtype} vs {b.dtype}")
+    flat = b.ndim == 2
+    if flat:
+        rows = math.prod(a.shape[:-1])
+        out = np.matmul(a.data.reshape(rows, a.shape[-1]), b.data)
+        out = out.reshape(*a.shape[:-1], b.shape[-1])
+    else:
+        out = np.matmul(a.data, b.data)
 
     def bwd(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        if flat:
+            ga = np.matmul(g.reshape(rows, b.shape[-1]), b.data.T).reshape(a.shape)
+        else:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
         gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
         return ga, gb
 
-    return Tensor._from_op(np.matmul(a.data, b.data), (a, b), "matmul", bwd)
+    return Tensor._from_op(out, (a, b), "matmul", bwd)
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:
@@ -400,9 +420,10 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     hi = x.data.max(axis=-1, keepdims=True)
     if not np.isfinite(hi).all() or not np.isfinite(x.data.min()):
         raise NumericError("softmax input contains NaN or Inf")
-    shifted = x.data - hi
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    # one allocation: the output holds the shift, then exp, then the quotient
+    out = np.subtract(x.data, hi)
+    np.exp(out, out=out)
+    np.divide(out, out.sum(axis=-1, keepdims=True), out=out)
 
     def bwd(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
@@ -420,9 +441,9 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
         raise ShapeError(
             f"gain last extent {gain.shape} does not match input last extent {x.shape}"
         )
-    ms = (x.data * x.data).mean(axis=-1, keepdims=True)
-    r = 1.0 / np.sqrt(ms + eps)
-    xhat = x.data * r
+    sq = x.data * x.data
+    r = 1.0 / np.sqrt(sq.mean(axis=-1, keepdims=True) + eps)
+    xhat = np.multiply(x.data, r, out=sq)  # the squares are spent; reuse their buffer
     out = xhat * gain.data
 
     def bwd(g):

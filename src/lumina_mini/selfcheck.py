@@ -86,6 +86,14 @@ def rel_err(a, b):
 
 GRAD_CASES = {
     "matmul": lambda t, c: nm.matmul(t, c.transpose(1, 0)).sum(),
+    # a 2-D right operand runs as one flat GEMM; both operands depend on t so
+    # the flat input gradient and the batched weight gradient are both checked
+    "matmul_3d_2d": lambda t, c: (
+        nm.matmul(t.reshape(2, 2, 6), t.transpose(1, 0)) * c.narrow(1, 0, 4).reshape(2, 2, 4)
+    ).sum(),
+    "matmul_3d_2d_transposed": lambda t, c: (
+        nm.matmul(t.reshape(2, 2, 6).transpose(0, 2, 1), t.narrow(0, 0, 2)) ** 2
+    ).sum(),
     "add": lambda t, c: (t + c).sum(),
     "sub": lambda t, c: (t - c).sum(),
     "mul": lambda t, c: (t * c).sum(),
@@ -189,7 +197,7 @@ def criterion_03_mrope_isometry_and_relativity():
     split = (8, 4, 4)
     x = Tensor(rng.standard_normal((40, 4, 16)), "f64")
     coords = rng.integers(0, 64, size=(40, 3))
-    out = apply_mrope(x, coords, split)
+    out = apply_mrope(x, rope_tables(coords, split))
     iso_dev = float(
         np.abs(np.linalg.norm(out.data, axis=-1) - np.linalg.norm(x.data, axis=-1)).max()
     )
@@ -220,14 +228,15 @@ def criterion_04_identity_at_init():
     cfg = ModelConfig()
     store = init_params(cfg, seed=11)
     x = Tensor(rng.standard_normal((70, cfg.dim)).astype(np.float32))
-    coords = assign_coords(6, 8, 8)
+    rope = rope_tables(assign_coords(6, 8, 8), cfg.axes_split, dtype=np.float32,
+                       base=cfg.rope_base)
     t_emb = timestep_embedding(0.37, store)
     prefixes = [f"img_proc.{i}" for i in range(cfg.image_processor_layers)] + [
         f"blocks.{i}" for i in range(cfg.layers)
     ]
     moved = []
     for prefix in prefixes:
-        out = block_batch(x.reshape(1, *x.shape), coords, store, prefix,
+        out = block_batch(x.reshape(1, *x.shape), rope, store, prefix,
                           t_emb.reshape(1, cfg.dim)).reshape(x.shape)
         if not (out.data == x.data).all():
             moved.append(prefix)

@@ -57,6 +57,10 @@ class StagePlan:
             raise ConfigError("steps must be >= 0 and batch_size >= 1")
         if self.lambda_aux < 0 or self.aux_factor < 1:
             raise ConfigError("lambda_aux must be >= 0 and aux_factor >= 1")
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if not 0.0 <= self.cond_dropout <= 1.0:
+            raise ConfigError(f"cond_dropout must lie in [0, 1], got {self.cond_dropout}")
 
 
 @dataclass

@@ -138,6 +138,15 @@ class TestTrainCommand:
         argv = ["train", "--out", str(tmp_path)] + TINY_MODEL_OVERRIDES
         assert main(argv + [f"--{o}" for o in overrides]) == 2
 
+    @pytest.mark.parametrize("override", [
+        "stages.low_res.lr=-1",
+        "stages.low_res.cond_dropout=2",
+        "model.t_embed_dim=0",
+    ], ids=["negative_lr", "cond_dropout", "t_embed_dim"])
+    def test_degenerate_training_value_exit_2(self, tmp_path, override):
+        argv = ["train", "--out", str(tmp_path)] + TINY_MODEL_OVERRIDES
+        assert main(argv + [f"--{override}"]) == 2
+
     def test_resolved_config_reproduces_run(self, tmp_path):
         assert (
             main(["train", "--out", str(tmp_path), "--run-id", "a"] + TINY_MODEL_OVERRIDES)

@@ -166,13 +166,13 @@ class TestCoords:
 class TestMRope:
     def test_zero_coord_is_identity(self, rng):
         x = Tensor(rng.standard_normal((1, 2, 8)), "f64")
-        out = apply_mrope(x, np.zeros((1, 3), dtype=np.int64), (4, 2, 2))
+        out = apply_mrope(x, rope_tables(np.zeros((1, 3), dtype=np.int64), (4, 2, 2)))
         np.testing.assert_allclose(out.data, x.data, atol=1e-15)
 
     def test_isometry(self, rng):
         x = Tensor(rng.standard_normal((10, 3, 8)), "f64")
         coords = rng.integers(0, 32, size=(10, 3))
-        out = apply_mrope(x, coords, (4, 2, 2))
+        out = apply_mrope(x, rope_tables(coords, (4, 2, 2)))
         np.testing.assert_allclose(
             np.linalg.norm(out.data, axis=-1), np.linalg.norm(x.data, axis=-1), atol=1e-5
         )
@@ -203,7 +203,18 @@ class TestMRope:
     def test_bad_split_rejected(self, rng):
         x = Tensor(rng.standard_normal((2, 1, 8)))
         with pytest.raises(ConfigError):
-            apply_mrope(x, np.zeros((2, 3), dtype=np.int64), (4, 4, 2))
+            apply_mrope(x, rope_tables(np.zeros((2, 3), dtype=np.int64), (4, 4, 2)))
+
+    def test_joint_tables_slice_rowwise(self):
+        # forward_batch builds one pair of tables and hands the text and image
+        # paths row slices of it
+        coords = assign_coords(5, 3, 4)
+        for dtype in (np.float32, np.float64):
+            joint = rope_tables(coords, (8, 4, 4), dtype=dtype, base=128.0)
+            for part in (slice(None, 5), slice(5, None)):
+                own = rope_tables(coords[part], (8, 4, 4), dtype=dtype, base=128.0)
+                for table, expect in zip(joint, own):
+                    np.testing.assert_array_equal(table[part], expect)
 
 
 def reference_mha(x, coords, store, prefix, cfg):
@@ -241,16 +252,24 @@ def reference_mha(x, coords, store, prefix, cfg):
     return out.reshape(L, H * hd) @ store[f"{prefix}.attn.wo"].data
 
 
+def model_rope(x, coords, store):
+    """The rotary tables forward_batch builds for these coordinates."""
+    cfg = store.config
+    return rope_tables(coords, cfg.axes_split, dtype=x.data.dtype, base=cfg.rope_base)
+
+
 def attention_one(x, coords, store, prefix):
     """attention_batch over one [L, dim] sequence: a batch of one."""
-    return attention_batch(x.reshape(1, *x.shape), coords, store, prefix).reshape(x.shape)
+    rope = model_rope(x, coords, store)
+    return attention_batch(x.reshape(1, *x.shape), rope, store, prefix).reshape(x.shape)
 
 
 def block_one(x, coords, store, prefix, t_emb):
     """block_batch over one [L, dim] sequence; t_emb is [dim] or None."""
     if t_emb is not None:
         t_emb = t_emb.reshape(1, *t_emb.shape)
-    return block_batch(x.reshape(1, *x.shape), coords, store, prefix, t_emb).reshape(x.shape)
+    rope = model_rope(x, coords, store)
+    return block_batch(x.reshape(1, *x.shape), rope, store, prefix, t_emb).reshape(x.shape)
 
 
 class TestJointAttention:

@@ -65,6 +65,40 @@ class TestMatmul:
             which=1,
         )
 
+    @pytest.mark.parametrize("batch", [1, 10])
+    @pytest.mark.parametrize("width", [512, 192])
+    def test_flat_weight_product_bit_equal_to_batched(self, rng, batch, width):
+        # the model's weight GEMMs at 32 px: L = 268, 192 -> 512 and 192 -> 192
+        a = rng.standard_normal((batch, 268, 192)).astype(np.float32)
+        w = rng.standard_normal((192, width)).astype(np.float32)
+        g = rng.standard_normal((batch, 268, width)).astype(np.float32)
+        ta, tw = Tensor(a, requires_grad=True), Tensor(w, requires_grad=True)
+        out = matmul(ta, tw)
+        np.testing.assert_array_equal(out.data, np.matmul(a, w))
+        (out * Tensor(g)).sum().backward()
+        np.testing.assert_array_equal(ta.grad.data, np.matmul(g, w.T))
+        np.testing.assert_array_equal(tw.grad.data, np.matmul(a.transpose(0, 2, 1), g).sum(0))
+
+
+@pytest.mark.parametrize("op", ["softmax", "rms_norm", "silu", "matmul"])
+def test_kernels_leave_inputs_untouched(op, rng):
+    # the kernels write into buffers of their own; inputs that share memory
+    # with the caller's arrays must come back unchanged, forward and backward
+    x = rng.standard_normal((2, 5, 8)).astype(np.float32)
+    other = rng.standard_normal((8, 8) if op == "matmul" else (8,)).astype(np.float32)
+    before = (x.copy(), other.copy())
+    tx, to = Tensor(x, requires_grad=True), Tensor(other, requires_grad=True)
+    assert np.shares_memory(tx.data, x) and np.shares_memory(to.data, other)
+    out = {
+        "softmax": lambda: softmax_lastdim(tx),
+        "rms_norm": lambda: rms_norm(tx, to, 1e-5),
+        "silu": lambda: tx.silu(),
+        "matmul": lambda: matmul(tx, to),
+    }[op]()
+    (out * out).sum().backward()
+    np.testing.assert_array_equal(x, before[0])
+    np.testing.assert_array_equal(other, before[1])
+
 
 class TestSoftmax:
     def test_uniform_on_equal_inputs(self):
