@@ -26,7 +26,7 @@ from .errors import LuminaError, NanLossError, NumericError
 from .evalharness import adherence_eval, inference_ablation
 from .model import load_checkpoint
 from .numerics import save_tensor
-from .sampler import GuidanceConfig, SamplerConfig, sample, write_ppm
+from .sampler import STEPS, GuidanceConfig, SamplerConfig, sample, write_ppm
 from .synthdata import (
     build_hierarchical_dataset,
     build_vocabulary,
@@ -64,10 +64,13 @@ def cmd_train(argv) -> int:
 
     cfg = default_config()
     if opts.config is not None:
-        if not os.path.exists(opts.config):
-            print(f"error: config file not found: {opts.config}", file=sys.stderr)
+        try:
+            with open(opts.config, encoding="utf-8") as f:
+                text = f.read()
+        except (OSError, UnicodeDecodeError) as e:
+            print(f"error: cannot read config file {opts.config}: {e}", file=sys.stderr)
             return EXIT_CONFIG
-        cfg = parse_config(open(opts.config).read(), cfg)
+        cfg = parse_config(text, cfg)
     apply_overrides(cfg, overrides)
 
     run_id = opts.run_id or time.strftime("%Y%m%d-%H%M%S")
@@ -113,7 +116,7 @@ def cmd_sample(argv) -> int:
     parser.add_argument("--scene-seed", type=int, default=0)
     parser.add_argument("--granularity", default="short")
     parser.add_argument("--template", default="B", choices=["A", "B", "C"])
-    parser.add_argument("--solver", default="euler", choices=["euler", "midpoint", "fdpm"])
+    parser.add_argument("--solver", default="euler", choices=list(STEPS))
     parser.add_argument("--steps", type=int, default=10)
     parser.add_argument("--cfg-w", type=float, default=4.0)
     parser.add_argument("--renorm", action="store_true")

@@ -9,81 +9,40 @@ resolved snapshot, which reproduces the run when fed back in.
 from __future__ import annotations
 
 import copy
+from dataclasses import fields
 
 from .errors import ConfigError
 from .model import ModelConfig
 from .trainer import StagePlan
 
-STAGE_ORDER = ("low_res", "high_res", "hq_tune")
+# Each stage's own values; every other stage key takes STAGE_SHARED.
+STAGES = {
+    "low_res": dict(resolution=16, tier=1, steps=4000, lambda_aux=0.0, template="A"),
+    "high_res": dict(resolution=32, tier=2, steps=800, lambda_aux=1.0, template="A"),
+    "hq_tune": dict(resolution=32, tier=3, steps=400, lambda_aux=1.0, template="B"),
+}
+STAGE_SHARED = dict(
+    batch_size=8, lr=8e-4, granularity_mix=(0.10, 0.40, 0.25, 0.25), cond_dropout=0.1,
+    aux_factor=4, warmup_steps=100, grad_clip=1.0,
+)
 
 
 def default_config() -> dict:
-    return {
-        "model": {
-            "dim": 192,
-            "heads": 6,
-            "kv_heads": 2,
-            "layers": 6,
-            "text_processor_layers": 2,
-            "image_processor_layers": 2,
-            "patch_size": 2,
-            "vocab_size": 64,
-            "axes_split": (16, 8, 8),
-            "rmsnorm_eps": 1e-5,
-            "ffn_hidden": 0,
-            "channels": 3,
-            "t_embed_dim": 256,
-            "rope_base": 128.0,
-        },
+    """Every section with its defaults; the model's are ``ModelConfig``'s own."""
+    cfg = {
+        "model": {f.name: f.default for f in fields(ModelConfig)},
         "data": {
             "n_total": 100000,
             "tier_fractions": (0.90, 0.09, 0.01),
             "seed": 7,
         },
         "train": {"seed": 0},
-        "stages.low_res": {
-            "resolution": 16,
-            "tier": 1,
-            "steps": 4000,
-            "batch_size": 8,
-            "lr": 8e-4,
-            "lambda_aux": 0.0,
-            "template": "A",
-            "granularity_mix": (0.10, 0.40, 0.25, 0.25),
-            "cond_dropout": 0.1,
-            "aux_factor": 4,
-            "warmup_steps": 100,
-            "grad_clip": 1.0,
-        },
-        "stages.high_res": {
-            "resolution": 32,
-            "tier": 2,
-            "steps": 800,
-            "batch_size": 8,
-            "lr": 8e-4,
-            "lambda_aux": 1.0,
-            "template": "A",
-            "granularity_mix": (0.10, 0.40, 0.25, 0.25),
-            "cond_dropout": 0.1,
-            "aux_factor": 4,
-            "warmup_steps": 100,
-            "grad_clip": 1.0,
-        },
-        "stages.hq_tune": {
-            "resolution": 32,
-            "tier": 3,
-            "steps": 400,
-            "batch_size": 8,
-            "lr": 8e-4,
-            "lambda_aux": 1.0,
-            "template": "B",
-            "granularity_mix": (0.10, 0.40, 0.25, 0.25),
-            "cond_dropout": 0.1,
-            "aux_factor": 4,
-            "warmup_steps": 100,
-            "grad_clip": 1.0,
-        },
     }
+    keys = [f.name for f in fields(StagePlan) if f.name != "name"]
+    for name, own in STAGES.items():
+        values = {**STAGE_SHARED, **own}
+        cfg[f"stages.{name}"] = {key: values[key] for key in keys}
+    return cfg
 
 
 def _coerce(raw: str, default):
@@ -172,7 +131,7 @@ def build_model_config(cfg: dict) -> ModelConfig:
 
 def build_stage_plans(cfg: dict) -> list:
     plans = []
-    for name in STAGE_ORDER:
+    for name in STAGES:
         section = dict(cfg[f"stages.{name}"])
         plans.append(StagePlan(name=name, **section))
     return plans

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import ConfigError
 from ..model.params import ParamStore
 from ..sampler import GuidanceConfig, SamplerConfig, sample_batch
 from ..synthdata import build_vocabulary, caption_scene, encode_prompt, generate_scene
@@ -50,6 +51,8 @@ def adherence_eval(
     batch_size: int = 10,
 ) -> AdherenceReport:
     """Sample n prompts uniformly over scene classes, generate and classify."""
+    if n < 1 or seed < 0:
+        raise ConfigError(f"need n >= 1 and seed >= 0, got n={n}, seed={seed}")
     vocab = build_vocabulary()
     guidance = guidance or GuidanceConfig(w=4.0, renorm=True, trunc_alpha=0.6)
     sconf = sconf or SamplerConfig(solver="euler", steps=10)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from dataclasses import asdict
 
 from ..errors import CheckpointError, ConfigError
 from ..numerics import Tensor, read_tensor, write_tensor
@@ -36,7 +37,7 @@ def save_checkpoint(
     """
     entries = list(store.items()) + list((extra or {}).items())
     header = {
-        "config": store.config.to_dict(),
+        "config": asdict(store.config),
         "step": store.step,
         "master_seed": store.master_seed,
         "meta": meta or {},
@@ -94,7 +95,7 @@ def _read_checkpoint(f):
     (hlen,) = struct.unpack("<I", _read_exact(f, 4))
     try:
         header = json.loads(_read_exact(f, hlen).decode("utf-8"))
-        cfg = ModelConfig.from_dict(header["config"])
+        cfg = ModelConfig(**header["config"])
         step, master_seed, meta = header["step"], header["master_seed"], header["meta"]
     except (ValueError, KeyError, TypeError, ConfigError) as e:
         raise CheckpointError(f"bad checkpoint header: {e}") from e

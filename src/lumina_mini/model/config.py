@@ -7,7 +7,7 @@ initialization, counting, and checkpoint validation all derive from it.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from ..errors import ConfigError
 
@@ -61,17 +61,6 @@ class ModelConfig:
             raise ConfigError(f"patch_size must be >= 1, got {self.patch_size}")
         if self.t_embed_dim < 2 or self.t_embed_dim % 2:
             raise ConfigError(f"t_embed_dim must be even and >= 2, got {self.t_embed_dim}")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["axes_split"] = list(self.axes_split)
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["axes_split"] = tuple(d["axes_split"])
-        return ModelConfig(**d)
 
 
 def reference_config() -> ModelConfig:

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from ..errors import UsageError
+from ..errors import ConfigError, UsageError
 from ..numerics import Tensor
 from ..numerics.tensor import DTYPES
 from .config import ModelConfig, param_shapes
@@ -77,6 +77,8 @@ def init_params(cfg: ModelConfig, seed: int, dtype: str = "f32") -> ParamStore:
     """Fresh parameters: zero-init adaLN and final projection, unit norm gains,
     normal(0, 0.02) everywhere else. Zero adaLN gates make every block an
     identity map at initialization."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng([0x1A17, seed])
     store = ParamStore(cfg, step=0, master_seed=seed, dtype=dtype)
     for name, shape in param_shapes(cfg):

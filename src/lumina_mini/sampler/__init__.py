@@ -1,7 +1,7 @@
 from .config import CacheState, GuidanceConfig, NfeReport, SamplerConfig
 from .guidance import cfg_active, cfg_combine
 from .run import sample, sample_batch, write_ppm
-from .solvers import FdpmRecord, euler_step, fdpm_step, midpoint_step, x0_prediction
+from .solvers import STEPS, FdpmRecord, eval_times, x0_prediction
 from .teacache import COMPUTE, SKIP, teacache_gate
 
 __all__ = [
@@ -11,12 +11,11 @@ __all__ = [
     "GuidanceConfig",
     "NfeReport",
     "SKIP",
+    "STEPS",
     "SamplerConfig",
     "cfg_active",
     "cfg_combine",
-    "euler_step",
-    "fdpm_step",
-    "midpoint_step",
+    "eval_times",
     "sample",
     "sample_batch",
     "teacache_gate",

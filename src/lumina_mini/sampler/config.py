@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-
-SOLVERS = ("euler", "midpoint", "fdpm")
+from .solvers import STEPS
 
 
 @dataclass
@@ -43,8 +42,8 @@ class SamplerConfig:
     teacache_delta: float | None = None
 
     def __post_init__(self):
-        if self.solver not in SOLVERS:
-            raise ConfigError(f"unknown solver {self.solver!r}, expected one of {SOLVERS}")
+        if self.solver not in STEPS:
+            raise ConfigError(f"unknown solver {self.solver!r}, expected one of {tuple(STEPS)}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.teacache_delta is not None and self.teacache_delta < 0:

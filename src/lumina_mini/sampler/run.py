@@ -13,14 +13,14 @@ import time
 
 import numpy as np
 
-from ..errors import UsageError
+from ..errors import ConfigError, UsageError
 from ..model.network import forward_batch
 from ..model.blocks import timestep_embedding_batch
 from ..model.params import ParamStore
 from ..numerics import Tensor, no_grad
 from .config import CacheState, GuidanceConfig, NfeReport, SamplerConfig
 from .guidance import cfg_active, cfg_combine
-from .solvers import FdpmRecord, fdpm_step, x0_prediction
+from .solvers import STEPS, eval_times
 from .teacache import COMPUTE, teacache_gate
 
 NOISE_STREAM = 0x5EED
@@ -68,6 +68,10 @@ def sample_batch(
     b = len(token_rows)
     if len(seeds) != b:
         raise UsageError(f"{len(seeds)} seeds for {b} prompts")
+    if min(seeds, default=0) < 0:
+        raise ConfigError(f"seeds must be >= 0, got {seeds}")
+    if resolution < 1:
+        raise ConfigError(f"resolution must be >= 1, got {resolution}")
     x = np.stack(
         [
             np.random.default_rng([NOISE_STREAM, s])
@@ -80,52 +84,38 @@ def sample_batch(
     grid = sconf.grid()
     report = NfeReport()
     cache = CacheState() if sconf.teacache_delta is not None else None
-    history: list[FdpmRecord] = []
+    step = STEPS[sconf.solver]
+    history: list = []
 
-    def velocity(x_cur, t, t_emb=None):
-        ts = [t] * b
-        if t_emb is None:
-            t_emb = timestep_embedding_batch(ts, store)
-        v_u = forward_batch(uncond_rows, Tensor(x_cur), ts, store, t_emb=t_emb).data
+    def field(x_cur, s):
+        # t and t_emb belong to the current step (set by the loop below); the
+        # step's first evaluation reuses the embedding the gate read
+        ts = [s] * b
+        emb = t_emb if s == t else timestep_embedding_batch(ts, store)
+        v_u = forward_batch(uncond_rows, Tensor(x_cur), ts, store, t_emb=emb).data
         report.unconditional += 1
         v_c = None
-        if cfg_active(guidance, t):
-            v_c = forward_batch(token_rows, Tensor(x_cur), ts, store, t_emb=t_emb).data
+        if cfg_active(guidance, s):
+            v_c = forward_batch(token_rows, Tensor(x_cur), ts, store, t_emb=emb).data
             report.conditional += 1
-        return cfg_combine(v_u, v_c, guidance, t)
+        return cfg_combine(v_u, v_c, guidance, s)
 
-    def evals_at(t):
-        return 1 + (1 if cfg_active(guidance, t) else 0)
+    def evals_at(s):
+        return 1 + (1 if cfg_active(guidance, s) else 0)
 
     start = time.perf_counter()
     with no_grad():
         for i in range(len(grid) - 1):
             t, t_next = float(grid[i]), float(grid[i + 1])
-            dt = t_next - t
             t_emb = timestep_embedding_batch([t] * b, store)
-            if cache is not None:
-                decision = teacache_gate(cache, t_emb.data[0], sconf.teacache_delta)
-                if decision != COMPUTE:
-                    skipped = evals_at(t)
-                    if sconf.solver == "midpoint":
-                        skipped += evals_at(t + 0.5 * dt)
-                    report.skipped += skipped
-                    x = x + dt * cache.last_output
-                    history.clear()  # multistep assumptions break across a hold
-                    continue
-            if sconf.solver == "euler":
-                v = velocity(x, t, t_emb)
-                x = x + dt * v
-            elif sconf.solver == "midpoint":
-                v1 = velocity(x, t, t_emb)
-                v = velocity(x + 0.5 * dt * v1, t + 0.5 * dt)
-                x = x + dt * v
-            else:  # fdpm
-                v = velocity(x, t, t_emb)
-                history.append(FdpmRecord(x=x, x0=x0_prediction(x, v, t), t=t))
-                x = fdpm_step(history, t_next)
-                if len(history) > 2:
-                    history.pop(0)
+            if cache is not None and (
+                teacache_gate(cache, t_emb.data[0], sconf.teacache_delta) != COMPUTE
+            ):
+                report.skipped += sum(map(evals_at, eval_times(sconf.solver, t, t_next)))
+                history.clear()  # multistep assumptions break across a hold
+                x, _ = STEPS["euler"](x, t, t_next, lambda *_: cache.last_output, history)
+                continue
+            x, v = step(x, t, t_next, field, history)
             if cache is not None:
                 cache.last_output = v
     report.wall_ms = (time.perf_counter() - start) * 1000.0

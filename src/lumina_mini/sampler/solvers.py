@@ -1,5 +1,11 @@
 """ODE integration steps for the straight flow path (t: 0 noise -> 1 data).
 
+Every step has one signature, ``step(x, t, t_next, field, history)``, and
+returns ``(x_next, v)``: ``field(x, s)`` gives the (guided) velocity at time
+s, and ``v`` is the last velocity the step evaluated, the one a TeaCache hold
+reuses. ``STEPS`` maps each solver name to its step; generation, the hold and
+the solver-order checks all run these entries.
+
 Euler and midpoint act on the velocity directly. The multistep data-prediction
 solver converts each velocity into a clean-sample prediction
 
@@ -22,19 +28,26 @@ import numpy as np
 from ..errors import UsageError
 
 
-def euler_step(x: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
+def _dt(t: float, t_next: float) -> float:
+    dt = t_next - t
     if dt <= 0:
         raise UsageError(f"dt must be positive, got {dt}")
-    return x + dt * v
+    return dt
 
 
-def midpoint_step(x: np.ndarray, t: float, dt: float, field) -> np.ndarray:
+def euler(x, t, t_next, field, history):
+    """First order; 1 NFE per step."""
+    dt = _dt(t, t_next)
+    v = field(x, t)
+    return x + dt * v, v
+
+
+def midpoint(x, t, t_next, field, history):
     """Second order; evaluates the field twice (2 NFE per step)."""
-    if dt <= 0:
-        raise UsageError(f"dt must be positive, got {dt}")
+    dt = _dt(t, t_next)
     k1 = field(x, t)
-    k2 = field(x + 0.5 * dt * k1, t + 0.5 * dt)
-    return x + dt * k2
+    v = field(x + 0.5 * dt * k1, t + 0.5 * dt)
+    return x + dt * v, v
 
 
 def x0_prediction(x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
@@ -57,24 +70,38 @@ def _lam(t: float) -> float:
     return math.log(t / (1.0 - t))
 
 
-def fdpm_step(history: list, next_t: float) -> np.ndarray:
-    """Advance the latest state in ``history`` to next_t (1 NFE per step).
+def fdpm(x, t, t_next, field, history):
+    """Multistep data prediction (1 NFE per step).
 
-    history holds FdpmRecord entries in time order; the last one is the
-    current state with its fresh data prediction.
+    ``history`` is the caller's list of FdpmRecord entries in time order; the
+    step appends the current evaluation and keeps the latest two. Clearing it
+    restarts the solver at first order.
     """
-    if not history:
-        raise UsageError("fdpm_step needs at least one prior evaluation")
-    cur = history[-1]
-    t, x, d = cur.t, cur.x, cur.x0
-    h = _lam(next_t) - _lam(t)
-    sigma, sigma_n, alpha_n = 1.0 - t, 1.0 - next_t, next_t
+    _dt(t, t_next)
+    v = field(x, t)
+    history.append(FdpmRecord(x=x, x0=x0_prediction(x, v, t), t=t))
+    del history[:-2]
+    d = history[-1].x0
+    h = _lam(t_next) - _lam(t)
+    sigma, sigma_n, alpha_n = 1.0 - t, 1.0 - t_next, t_next
     d_tilde = d
-    if len(history) >= 2 and next_t < 1.0:
-        prev = history[-2]
+    if len(history) == 2 and t_next < 1.0:
+        prev = history[0]
         h_prev = _lam(t) - _lam(prev.t)
         if math.isfinite(h_prev):
             r = h_prev / h
             d_tilde = d + (1.0 / (2.0 * r)) * (d - prev.x0)
     decay = math.exp(-h) if math.isfinite(h) else 0.0
-    return (sigma_n / sigma) * x + alpha_n * (1.0 - decay) * d_tilde
+    return (sigma_n / sigma) * x + alpha_n * (1.0 - decay) * d_tilde, v
+
+
+STEPS = {"euler": euler, "midpoint": midpoint, "fdpm": fdpm}
+
+# Where each step evaluates its field, as fractions of [t, t_next].
+_NODES = {"euler": (0.0,), "midpoint": (0.0, 0.5), "fdpm": (0.0,)}
+
+
+def eval_times(solver: str, t: float, t_next: float) -> list:
+    """The times at which ``STEPS[solver]`` evaluates its field on [t, t_next]:
+    the evaluations a TeaCache hold skips."""
+    return [t + c * (t_next - t) for c in _NODES[solver]]

@@ -34,17 +34,7 @@ from .model import (
 from .model.blocks import block_batch
 from .model.rope import rope_tables
 from .numerics import Tensor, apply_rotary
-from .sampler import (
-    FdpmRecord,
-    GuidanceConfig,
-    SamplerConfig,
-    cfg_combine,
-    euler_step,
-    fdpm_step,
-    midpoint_step,
-    sample,
-    x0_prediction,
-)
+from .sampler import STEPS, GuidanceConfig, SamplerConfig, cfg_combine, sample, x0_prediction
 from .synthdata import build_hierarchical_dataset
 from .trainer import StagePlan, fresh_state, load_state, run_stage, save_state
 
@@ -314,42 +304,31 @@ def gaussian_flow_field(mu, gamma):
     return field, exact
 
 
+def integrate(solver, field, x, steps):
+    """Run ``STEPS[solver]`` from t = 0 to 1 over a uniform grid of ``steps``."""
+    grid = np.linspace(0.0, 1.0, steps + 1)
+    history = []
+    for t, t_next in zip(grid[:-1], grid[1:]):
+        x, _ = STEPS[solver](x, float(t), float(t_next), field, history)
+    return x
+
+
+def growth_err(solver, n):
+    """Error at t = 1 of ``n`` steps on x' = x from x(0) = 1 (exactly e)."""
+    return abs(float(integrate(solver, lambda y, t: y, np.array([1.0]), n)[0]) - math.e)
+
+
 def criterion_07_solver_orders():
     started = time.perf_counter()
-
-    def euler_err(n):
-        x = np.array([1.0])
-        for i in range(n):
-            x = euler_step(x, x, 1.0 / n)
-        return abs(float(x[0]) - math.e)
-
-    def mid_err(n):
-        x = np.array([1.0])
-        for i in range(n):
-            x = midpoint_step(x, i / n, 1.0 / n, lambda y, t: y)
-        return abs(float(x[0]) - math.e)
-
-    euler_ratio = euler_err(64) / euler_err(128)
-    mid_ratio = mid_err(32) / mid_err(64)
+    euler_ratio = growth_err("euler", 64) / growth_err("euler", 128)
+    mid_ratio = growth_err("midpoint", 32) / growth_err("midpoint", 64)
 
     field, exact = gaussian_flow_field(mu=2.0, gamma=0.3)
     rng = np.random.default_rng(7)
     x0 = rng.standard_normal(64)
     truth = exact(x0, 1.0)
-    xe = x0.copy()
-    for i in range(50):
-        xe = euler_step(xe, field(xe, i / 50), 1 / 50)
-    xf = x0.copy()
-    history = []
-    grid = np.linspace(0, 1, 17)
-    for i in range(16):
-        t, tn = float(grid[i]), float(grid[i + 1])
-        v = field(xf, t)
-        history.append(FdpmRecord(x=xf, x0=x0_prediction(xf, v, t), t=t))
-        xf = fdpm_step(history, tn)
-        if len(history) > 2:
-            history.pop(0)
-    err_e, err_f = np.abs(xe - truth).max(), np.abs(xf - truth).max()
+    err_e = np.abs(integrate("euler", field, x0, 50) - truth).max()
+    err_f = np.abs(integrate("fdpm", field, x0, 16) - truth).max()
     elapsed = time.perf_counter() - started
     ok = (1.6 <= euler_ratio <= 2.4 and 3.2 <= mid_ratio <= 4.8 and err_f <= err_e
           and elapsed < 60.0)

@@ -38,6 +38,8 @@ def build_hierarchical_dataset(
     tier_fractions=DEFAULT_TIER_FRACTIONS,
     seed: int = 0,
 ) -> HierarchicalDataset:
+    if seed < 0:
+        raise ConfigError(f"dataset seed must be >= 0, got {seed}")
     fractions = tuple(float(f) for f in tier_fractions)
     if sum(fractions) > 1.0 + 1e-9:
         raise ConfigError(f"tier fractions {fractions} sum beyond 1")

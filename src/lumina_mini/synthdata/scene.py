@@ -61,6 +61,8 @@ def quality_score(size_jitter: float, luminance_jitter: float) -> float:
 
 def generate_scene(seed: int) -> Scene:
     """Deterministic in seed; uniform over the 162 classes before jitter."""
+    if seed < 0:
+        raise ConfigError(f"scene seed must be >= 0, got {seed}")
     rng = np.random.default_rng([SCENE_STREAM, seed])
     cls = int(rng.integers(N_CLASSES))
     cell = cls % 9

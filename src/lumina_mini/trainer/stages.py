@@ -11,7 +11,7 @@ moments reset.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +31,6 @@ from ..synthdata.captions import GRANULARITIES
 from .metrics import MetricRow, MetricsLog
 from .optim import AdamW, clip_grad_norm
 
-HISTORY_LIMIT = 4096
-
 
 @dataclass
 class StagePlan:
@@ -51,8 +49,12 @@ class StagePlan:
     grad_clip: float = 1.0
 
     def __post_init__(self):
-        if abs(sum(self.granularity_mix) - 1.0) > 1e-9:
-            raise ConfigError(f"granularity_mix must sum to 1, got {self.granularity_mix}")
+        mix = self.granularity_mix
+        if len(mix) != len(GRANULARITIES) or min(mix) < 0 or abs(sum(mix) - 1.0) > 1e-9:
+            raise ConfigError(
+                f"granularity_mix needs {len(GRANULARITIES)} non-negative entries summing "
+                f"to 1, got {mix}"
+            )
         if self.steps < 0 or self.batch_size < 1:
             raise ConfigError("steps must be >= 0 and batch_size >= 1")
         if self.lambda_aux < 0 or self.aux_factor < 1:
@@ -68,16 +70,10 @@ class TrainState:
     params: ParamStore
     opt: AdamW
     stage_index: int = -1
-    loss_history: list = field(default_factory=list)
 
     @property
     def step(self) -> int:
         return self.params.step
-
-    def record_loss(self, value: float) -> None:
-        self.loss_history.append(value)
-        if len(self.loss_history) > HISTORY_LIMIT:
-            del self.loss_history[: len(self.loss_history) - HISTORY_LIMIT]
 
 
 def fresh_state(cfg, seed: int, lr: float = 2e-4) -> TrainState:
@@ -92,7 +88,7 @@ def draw_batch(plan: StagePlan, scenes, vocab: Vocabulary, rng) -> list:
     mix = np.asarray(plan.granularity_mix, dtype=np.float64)
     for _ in range(plan.batch_size):
         scene = scenes[int(rng.integers(len(scenes)))]
-        granularity = GRANULARITIES[int(rng.choice(4, p=mix))]
+        granularity = GRANULARITIES[int(rng.choice(len(GRANULARITIES), p=mix))]
         dropped = bool(rng.uniform() < plan.cond_dropout)
         t = float(rng.uniform())
         image = render_scene(scene, plan.resolution)
@@ -163,7 +159,6 @@ def run_stage(
         loss, aux, lr = train_step(state, plan, scenes, vocab)
         wall_ms = (time.perf_counter() - started) * 1000.0
         losses.append(loss)
-        state.record_loss(loss)
         if metrics is not None:
             metrics.append(
                 MetricRow(state.params.step - 1, state.stage_index, loss, aux, lr, wall_ms)

@@ -288,6 +288,33 @@ class TestEvalAndBench:
         assert main(["frobnicate"]) == 2
 
 
+BAD_INPUTS = {
+    "sample_seed": ["sample", "--seed", "-1"],
+    "scene_seed": ["sample", "--scene-seed", "-1"],
+    "sample_resolution": ["sample", "--resolution", "-2"],
+    "eval_seed": ["eval", "--seed", "-1"],
+    "eval_n_zero": ["eval", "--n", "0"],
+    "eval_n_negative": ["eval", "--n", "-3"],
+    "train_seed": ["train", "--train.seed=-1"],
+    "data_seed": ["train", "--data.seed=-1"],
+    "mix_three_entries": ["train", "--stages.low_res.granularity_mix=0.5,0.25,0.25"],
+    "mix_negative": ["train", "--stages.low_res.granularity_mix=1.5,-0.5,0,0"],
+    "config_directory": ["train", "--config", "{tmp}"],
+    "config_not_utf8": ["train", "--config", "{tmp}/binary.txt"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_seed_size_or_input_exit_2(tmp_path, argv):
+    (tmp_path / "binary.txt").write_bytes(b"[model]\ndim = \xff\xfe\n")
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(tmp_path / "out")]
+    if argv[0] == "train":
+        argv += [f"--{o}" for o in TINY_MODEL_OVERRIDES]
+    else:
+        argv += ["--ckpt", str(tiny_ckpt(tmp_path)), "--steps", "1"]
+    assert main(argv) == 2
+
+
 def test_selfcheck_passes():
     assert main(["selfcheck"]) == 0
 

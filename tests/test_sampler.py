@@ -8,21 +8,19 @@ from conftest import live_params
 from lumina_mini.errors import ConfigError, UsageError
 from lumina_mini.model import ModelConfig, init_params
 from lumina_mini.sampler import (
+    STEPS,
     CacheState,
-    FdpmRecord,
     GuidanceConfig,
     SamplerConfig,
     cfg_combine,
-    euler_step,
-    fdpm_step,
-    midpoint_step,
+    eval_times,
     sample,
     sample_batch,
     teacache_gate,
     write_ppm,
     x0_prediction,
 )
-from lumina_mini.selfcheck import gaussian_flow_field
+from lumina_mini.selfcheck import gaussian_flow_field, growth_err, integrate
 
 
 def micro_config():
@@ -104,45 +102,33 @@ class TestCfgCombine:
 class TestSolverSteps:
     def test_euler_zero_velocity(self, rng):
         x = rng.standard_normal((3, 4, 4))
-        assert (euler_step(x, np.zeros_like(x), 0.1) == x).all()
+        out, _ = STEPS["euler"](x, 0.0, 0.1, lambda y, t: np.zeros_like(y), [])
+        assert (out == x).all()
 
     def test_euler_constant_field_exact(self, rng):
         x0 = rng.standard_normal(8)
         u = rng.standard_normal(8)
-        x = x0.copy()
-        for i in range(10):
-            x = euler_step(x, u, 0.1)
-        np.testing.assert_allclose(x, x0 + u, rtol=1e-12)
+        np.testing.assert_allclose(integrate("euler", lambda y, t: u, x0, 10), x0 + u, rtol=1e-12)
 
-    def test_euler_rejects_nonpositive_dt(self, rng):
+    @pytest.mark.parametrize("solver", list(STEPS))
+    def test_rejects_nonpositive_dt(self, solver):
         with pytest.raises(UsageError):
-            euler_step(np.zeros(3), np.zeros(3), 0.0)
+            STEPS[solver](np.zeros(3), 0.5, 0.5, lambda y, t: y, [])
 
     def test_euler_first_order_on_exponential(self):
         # v(x,t) = x has closed form x0 * e^t; halving dt halves the error.
-        def run(n):
-            x = np.array([1.0])
-            for i in range(n):
-                x = euler_step(x, x, 1.0 / n)
-            return abs(float(x[0]) - math.e)
-
-        ratio = run(64) / run(128)
+        ratio = growth_err("euler", 64) / growth_err("euler", 128)
         assert 1.6 < ratio < 2.4
 
     def test_midpoint_constant_field_matches_euler(self, rng):
         x = rng.standard_normal(5)
         u = rng.standard_normal(5)
-        out = midpoint_step(x, 0.0, 0.25, lambda y, t: u)
-        np.testing.assert_allclose(out, euler_step(x, u, 0.25), rtol=1e-12)
+        out, _ = STEPS["midpoint"](x, 0.0, 0.25, lambda y, t: u, [])
+        euler, _ = STEPS["euler"](x, 0.0, 0.25, lambda y, t: u, [])
+        np.testing.assert_allclose(out, euler, rtol=1e-12)
 
     def test_midpoint_second_order_on_exponential(self):
-        def run(n):
-            x = np.array([1.0])
-            for i in range(n):
-                x = midpoint_step(x, i / n, 1.0 / n, lambda y, t: y)
-            return abs(float(x[0]) - math.e)
-
-        ratio = run(32) / run(64)
+        ratio = growth_err("midpoint", 32) / growth_err("midpoint", 64)
         assert 3.2 < ratio < 4.8
 
     def test_midpoint_two_evals_per_step(self):
@@ -152,14 +138,31 @@ class TestSolverSteps:
             calls.append(t)
             return y
 
-        midpoint_step(np.ones(2), 0.0, 0.5, field)
+        STEPS["midpoint"](np.ones(2), 0.0, 0.5, field, [])
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("solver", list(STEPS))
+    def test_eval_times_are_the_field_calls(self, solver):
+        # eval_times is what a TeaCache hold counts as skipped; v is the
+        # velocity the hold reuses: the last one the step evaluated
+        calls = []
+
+        def field(y, t):
+            calls.append(t)
+            return np.full_like(y, t)
+
+        _, v = STEPS[solver](np.ones(2), 0.2, 0.6, field, [])
+        assert calls == eval_times(solver, 0.2, 0.6)
+        assert (v == calls[-1]).all()
 
 
 class TestFdpm:
-    def test_empty_history_rejected(self):
-        with pytest.raises(UsageError):
-            fdpm_step([], 0.5)
+    def test_history_keeps_latest_two(self, rng):
+        history = []
+        x = rng.standard_normal(4)
+        for t, t_next in ((0.0, 0.25), (0.25, 0.5), (0.5, 0.75)):
+            x, _ = STEPS["fdpm"](x, t, t_next, lambda y, s: -y, history)
+        assert [rec.t for rec in history] == [0.25, 0.5]
 
     def test_x0_recovery_identity(self, rng):
         # exact v = x - eps recovers the clean sample at every t
@@ -171,38 +174,18 @@ class TestFdpm:
             np.testing.assert_allclose(x0_prediction(x_t, v, t), x_clean, atol=1e-12)
 
     def test_first_step_is_first_order(self, rng):
-        # with a single record the update must match Euler on the same velocity
+        # with an empty history the update must match Euler on the same velocity
         x = rng.standard_normal(6)
         v = rng.standard_normal(6)
-        rec = FdpmRecord(x=x, x0=x0_prediction(x, v, 0.0), t=0.0)
-        out = fdpm_step([rec], 0.25)
+        out, _ = STEPS["fdpm"](x, 0.0, 0.25, lambda y, t: v, [])
         np.testing.assert_allclose(out, x + 0.25 * v, atol=1e-12)
-
-    def _integrate_fdpm(self, field, x0, steps):
-        grid = np.linspace(0.0, 1.0, steps + 1)
-        x = x0.copy()
-        history = []
-        for i in range(steps):
-            t, tn = float(grid[i]), float(grid[i + 1])
-            v = field(x, t)
-            history.append(FdpmRecord(x=x, x0=x0_prediction(x, v, t), t=t))
-            x = fdpm_step(history, tn)
-            if len(history) > 2:
-                history.pop(0)
-        return x
 
     def test_16_step_fdpm_beats_50_step_euler(self, rng):
         field, exact = gaussian_flow_field(mu=2.0, gamma=0.3)
         x0 = rng.standard_normal(64)
         truth = exact(x0, 1.0)
-
-        x_euler = x0.copy()
-        for i in range(50):
-            x_euler = euler_step(x_euler, field(x_euler, i / 50), 1 / 50)
-
-        x_fdpm = self._integrate_fdpm(field, x0, 16)
-        err_euler = np.abs(x_euler - truth).max()
-        err_fdpm = np.abs(x_fdpm - truth).max()
+        err_euler = np.abs(integrate("euler", field, x0, 50) - truth).max()
+        err_fdpm = np.abs(integrate("fdpm", field, x0, 16) - truth).max()
         assert err_fdpm <= err_euler
 
 
