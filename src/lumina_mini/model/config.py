@@ -61,6 +61,16 @@ class ModelConfig:
             raise ConfigError(f"patch_size must be >= 1, got {self.patch_size}")
         if self.t_embed_dim < 2 or self.t_embed_dim % 2:
             raise ConfigError(f"t_embed_dim must be even and >= 2, got {self.t_embed_dim}")
+        if self.ffn_hidden < 0:
+            raise ConfigError(f"ffn_hidden must be >= 0, got {self.ffn_hidden}")
+        depths = (self.layers, self.text_processor_layers, self.image_processor_layers)
+        if min(depths) < 0:
+            raise ConfigError(
+                f"layers, text_processor_layers and image_processor_layers must be >= 0, "
+                f"got {depths}"
+            )
+        if not self.rope_base > 0:
+            raise ConfigError(f"rope_base must be > 0, got {self.rope_base}")
 
 
 def reference_config() -> ModelConfig:

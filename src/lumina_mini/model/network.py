@@ -24,23 +24,8 @@ from .params import ParamStore
 from .rope import assign_coords, rope_tables
 
 
-def patchify(image: Tensor, patch_size: int) -> Tensor:
-    """[c, H, W] -> [(H/p)(W/p), c*p*p] with row-major patch ordering."""
-    c, h, w = image.shape
-    return _patchify_batch(image.reshape(1, c, h, w), patch_size).reshape(
-        (h // patch_size) * (w // patch_size), c * patch_size * patch_size
-    )
-
-
-def unpatchify(tokens: Tensor, channels: int, height: int, width: int, patch_size: int) -> Tensor:
-    """Exact inverse of patchify."""
-    n, d = tokens.shape
-    return _unpatchify_batch(
-        tokens.reshape(1, n, d), channels, height, width, patch_size
-    ).reshape(channels, height, width)
-
-
-def _patchify_batch(images: Tensor, p: int) -> Tensor:
+def patchify(images: Tensor, p: int) -> Tensor:
+    """[B, c, H, W] -> [B, (H/p)(W/p), c*p*p] with row-major patch ordering."""
     b, c, h, w = images.shape
     if h % p or w % p:
         raise ShapeError(f"image extents ({h},{w}) not divisible by patch size {p}")
@@ -49,7 +34,8 @@ def _patchify_batch(images: Tensor, p: int) -> Tensor:
     return x.reshape(b, (h // p) * (w // p), c * p * p)
 
 
-def _unpatchify_batch(tokens: Tensor, c: int, h: int, w: int, p: int) -> Tensor:
+def unpatchify(tokens: Tensor, c: int, h: int, w: int, p: int) -> Tensor:
+    """Exact inverse of patchify: [B, (H/p)(W/p), c*p*p] -> [B, c, H, W]."""
     b = tokens.shape[0]
     x = tokens.reshape(b, h // p, w // p, c, p, p)
     x = x.transpose(0, 3, 1, 4, 2, 5)  # [b, c, rows, p, cols, p]
@@ -85,8 +71,6 @@ def forward_batch(
     if ts.min() < 0.0 or ts.max() > 1.0:
         raise UsageError(f"timestep outside [0, 1]: {ts}")
     p = cfg.patch_size
-    if h % p or w % p:
-        raise ShapeError(f"image extents ({h},{w}) not divisible by patch size {p}")
     prows, pcols = h // p, w // p
 
     if t_emb is None:
@@ -106,7 +90,7 @@ def forward_batch(
             txt = block_batch(txt, text_rope, store, f"text_proc.{i}", None)
 
     # Image path: patch embedding then timestep-conditioned blocks.
-    img = matmul(_patchify_batch(images, p), store["patch_emb.w"]) + store["patch_emb.b"]
+    img = matmul(patchify(images, p), store["patch_emb.w"]) + store["patch_emb.b"]
     for i in range(cfg.image_processor_layers):
         img = block_batch(img, image_rope, store, f"img_proc.{i}", t_emb)
 
@@ -121,5 +105,5 @@ def forward_batch(
     gain = ones(cfg.dim, dtype=x_img.dtype)
     hidden = rms_norm(x_img, gain, cfg.rmsnorm_eps) * (scale + 1.0) + shift
     patches = matmul(hidden, store["final.proj.w"]) + store["final.proj.b"]
-    return _unpatchify_batch(patches, c, h, w, p)
+    return unpatchify(patches, c, h, w, p)
 

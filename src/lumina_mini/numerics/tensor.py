@@ -1,10 +1,15 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-The operator set is closed: exactly the operations the network needs, each
-with a hand-written backward. No general broadcasting beyond leading batch
-dims plus the usual trailing-gain/vector cases, which keeps every backward
-auditable. f32 is the training default; f64 exists so finite-difference
-gradient oracles are trustworthy.
+The operator set is closed: exactly the operations training and sampling
+run, each with a hand-written backward. Those are ``add``, ``sub``, ``mul``,
+``silu``, ``mean``, ``reshape``, ``transpose``, ``narrow`` (also behind
+``split``), ``matmul``, ``softmax_lastdim``, ``rms_norm``, ``avg_pool2d``,
+``concat``, ``embedding`` and ``apply_rotary``. The one more is ``sum``: the
+scalar reduction every finite-difference gradient check is built on. No
+general broadcasting beyond leading batch dims plus the usual
+trailing-gain/vector cases, which keeps every backward auditable. f32 is the
+training default; f64 exists so finite-difference gradient oracles are
+trustworthy.
 
 Tensors are immutable after construction except for gradient accumulation
 into leaf ``.grad`` buffers. Graphs are built through closures: every op
@@ -102,9 +107,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 
@@ -123,9 +125,7 @@ class Tensor:
     def _coerce(self, other) -> "Tensor":
         if isinstance(other, Tensor):
             if other.data.dtype != self.data.dtype:
-                raise UsageError(
-                    f"dtype mismatch: {self.dtype} vs {other.dtype} (cast explicitly)"
-                )
+                raise UsageError(f"dtype mismatch: {self.dtype} vs {other.dtype}")
             return other
         return Tensor(np.asarray(other, dtype=self.data.dtype), self.dtype)
 
@@ -139,12 +139,6 @@ class Tensor:
             return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
         return Tensor._from_op(a.data + b.data, (a, b), "add", bwd)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        a = self
-        return Tensor._from_op(-a.data, (a,), "neg", lambda g: (-g,))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -169,60 +163,7 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        a, b = self, other
-
-        def bwd(g):
-            ga = _unbroadcast(g / b.data, a.shape)
-            gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-            return ga, gb
-
-        return Tensor._from_op(a.data / b.data, (a, b), "div", bwd)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
-
-    def __pow__(self, p):
-        if not isinstance(p, (int, float)):
-            raise UsageError("pow exponent must be a Python scalar")
-        a = self
-
-        def bwd(g):
-            return (g * p * a.data ** (p - 1),)
-
-        return Tensor._from_op(a.data**p, (a,), "pow", bwd)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     # -- unary elementwise ---------------------------------------------------
-
-    def exp(self):
-        a = self
-        out = np.exp(a.data)
-        return Tensor._from_op(out, (a,), "exp", lambda g: (g * out,))
-
-    def log(self):
-        a = self
-        return Tensor._from_op(np.log(a.data), (a,), "log", lambda g: (g / a.data,))
-
-    def sqrt(self):
-        a = self
-        out = np.sqrt(a.data)
-        return Tensor._from_op(out, (a,), "sqrt", lambda g: (g * 0.5 / out,))
-
-    def abs(self):
-        a = self
-        return Tensor._from_op(np.abs(a.data), (a,), "abs", lambda g: (g * np.sign(a.data),))
-
-    def sin(self):
-        a = self
-        return Tensor._from_op(np.sin(a.data), (a,), "sin", lambda g: (g * np.cos(a.data),))
-
-    def cos(self):
-        a = self
-        return Tensor._from_op(np.cos(a.data), (a,), "cos", lambda g: (-g * np.sin(a.data),))
 
     def silu(self):
         a = self
@@ -236,15 +177,6 @@ class Tensor:
             return (g * s * (1.0 + a.data * (1.0 - s)),)
 
         return Tensor._from_op(a.data * s, (a,), "silu", bwd)
-
-    def astype(self, dtype: str):
-        if dtype not in DTYPES:
-            raise UsageError(f"unknown dtype {dtype!r}")
-        a = self
-        src = a.data.dtype
-        return Tensor._from_op(
-            a.data.astype(DTYPES[dtype]), (a,), "astype", lambda g: (g.astype(src),)
-        )
 
     # -- reductions ----------------------------------------------------------
 
@@ -270,22 +202,6 @@ class Tensor:
             return (np.broadcast_to(g / count, a.shape).copy(),)
 
         return Tensor._from_op(np.asarray(out, dtype=a.data.dtype), (a,), "mean", bwd)
-
-    def l1_norm(self):
-        a = self
-        out = np.abs(a.data).sum()
-        return Tensor._from_op(
-            np.asarray(out, dtype=a.data.dtype), (a,), "l1_norm", lambda g: (g * np.sign(a.data),)
-        )
-
-    def l2_norm(self):
-        a = self
-        out = math.sqrt(float((a.data * a.data).sum()))
-
-        def bwd(g):
-            return (g * a.data / max(out, 1e-12),)
-
-        return Tensor._from_op(np.asarray(out, dtype=a.data.dtype), (a,), "l2_norm", bwd)
 
     # -- shape ops -----------------------------------------------------------
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from ..errors import CheckpointError
+from ..errors import CheckpointError, UsageError
 from ..model.params import ParamStore
 from ..numerics import Tensor
 
@@ -100,9 +100,11 @@ def clip_grad_norm(store: ParamStore, max_norm: float) -> float:
     the pre-clip norm. The squares are summed in f64 per parameter and the
     sums added in manifest order: one dot over the whole buffer rounds
     differently in the last place, which would move every later loss."""
+    if not max_norm > 0:
+        raise UsageError(f"max_norm must be > 0, got {max_norm}")
     norm = math.sqrt(
         sum(float(np.square(p.grad.data, dtype=np.float64).sum()) for _, p in store.items())
     )
-    if norm > max_norm > 0:
+    if norm > max_norm:
         store.grad *= max_norm / norm
     return norm

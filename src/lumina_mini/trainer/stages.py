@@ -63,6 +63,10 @@ class StagePlan:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
         if not 0.0 <= self.cond_dropout <= 1.0:
             raise ConfigError(f"cond_dropout must lie in [0, 1], got {self.cond_dropout}")
+        if not self.grad_clip > 0:
+            raise ConfigError(f"grad_clip must be > 0, got {self.grad_clip}")
+        if self.warmup_steps < 0:
+            raise ConfigError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
 
 
 @dataclass

@@ -299,6 +299,14 @@ BAD_INPUTS = {
     "data_seed": ["train", "--data.seed=-1"],
     "mix_three_entries": ["train", "--stages.low_res.granularity_mix=0.5,0.25,0.25"],
     "mix_negative": ["train", "--stages.low_res.granularity_mix=1.5,-0.5,0,0"],
+    "rope_base_negative": ["train", "--model.rope_base=-1"],
+    "ffn_hidden_negative": ["train", "--model.ffn_hidden=-1"],
+    "layers_negative": ["train", "--model.layers=-1"],
+    "text_layers_negative": ["train", "--model.text_processor_layers=-1"],
+    "image_layers_negative": ["train", "--model.image_processor_layers=-1"],
+    "grad_clip_negative": ["train", "--stages.low_res.grad_clip=-1"],
+    "grad_clip_zero": ["train", "--stages.low_res.grad_clip=0"],
+    "warmup_negative": ["train", "--stages.low_res.warmup_steps=-1"],
     "config_directory": ["train", "--config", "{tmp}"],
     "config_not_utf8": ["train", "--config", "{tmp}/binary.txt"],
 }
@@ -308,8 +316,8 @@ BAD_INPUTS = {
 def test_bad_seed_size_or_input_exit_2(tmp_path, argv):
     (tmp_path / "binary.txt").write_bytes(b"[model]\ndim = \xff\xfe\n")
     argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(tmp_path / "out")]
-    if argv[0] == "train":
-        argv += [f"--{o}" for o in TINY_MODEL_OVERRIDES]
+    if argv[0] == "train":  # the case's own override comes last and wins
+        argv[1:1] = [f"--{o}" for o in TINY_MODEL_OVERRIDES]
     else:
         argv += ["--ckpt", str(tiny_ckpt(tmp_path)), "--steps", "1"]
     assert main(argv) == 2

@@ -119,30 +119,30 @@ class TestParamArena:
 
 class TestPatchify:
     def test_token_count_and_length(self, rng):
-        img = Tensor(rng.standard_normal((3, 4, 4)))
+        img = Tensor(rng.standard_normal((1, 3, 4, 4)))
         out = patchify(img, 2)
-        assert out.shape == (4, 12)
+        assert out.shape == (1, 4, 12)
 
     def test_patch_one_is_reshape(self, rng):
-        data = rng.standard_normal((3, 2, 2))
+        data = rng.standard_normal((1, 3, 2, 2))
         out = patchify(Tensor(data, "f64"), 1)
-        np.testing.assert_array_equal(out.data, data.reshape(3, 4).T)
+        np.testing.assert_array_equal(out.data[0], data[0].reshape(3, 4).T)
 
     def test_roundtrip_bit_exact(self, rng):
-        data = rng.standard_normal((3, 8, 6)).astype(np.float32)
+        data = rng.standard_normal((1, 3, 8, 6)).astype(np.float32)
         back = unpatchify(patchify(Tensor(data), 2), 3, 8, 6, 2)
         assert (back.data == data).all()
 
     def test_divisibility(self):
         with pytest.raises(ShapeError):
-            patchify(Tensor(np.zeros((3, 5, 4))), 2)
+            patchify(Tensor(np.zeros((1, 3, 5, 4))), 2)
 
     def test_row_major_order(self):
         # One channel, 4x4, patch 2: first patch must be the top-left block.
-        data = np.arange(16.0).reshape(1, 4, 4)
+        data = np.arange(16.0).reshape(1, 1, 4, 4)
         out = patchify(Tensor(data), 2)
-        np.testing.assert_array_equal(out.data[0], [0, 1, 4, 5])
-        np.testing.assert_array_equal(out.data[1], [2, 3, 6, 7])
+        np.testing.assert_array_equal(out.data[0, 0], [0, 1, 4, 5])
+        np.testing.assert_array_equal(out.data[0, 1], [2, 3, 6, 7])
 
 
 class TestCoords:

@@ -196,8 +196,13 @@ class TestAvgPool:
 
     def test_grad(self, rng):
         x = rng.standard_normal((2, 4, 4))
+
+        def tf(t):
+            y = avg_pool2d(t, 2)
+            return (y * y).sum()
+
         check_grad(
-            lambda t: (avg_pool2d(t, 2) ** 2).sum(),
+            tf,
             lambda a: (a.reshape(2, 2, 2, 2, 2).mean((-3, -1)) ** 2).sum(),
             [x],
         )
@@ -246,29 +251,18 @@ class TestBackward:
 ELEMENTWISE_CASES = [
     ("add", lambda t, c: (t + c).sum(), lambda a, c: (a + c).sum()),
     ("mul", lambda t, c: (t * c).sum(), lambda a, c: (a * c).sum()),
-    ("div", lambda t, c: (t / c).sum(), lambda a, c: (a / c).sum()),
     ("silu", lambda t, c: t.silu().sum(), lambda a, c: (a / (1 + np.exp(-a))).sum()),
-    ("exp", lambda t, c: t.exp().sum(), lambda a, c: np.exp(a).sum()),
-    ("sin", lambda t, c: t.sin().sum(), lambda a, c: np.sin(a).sum()),
-    ("cos", lambda t, c: t.cos().sum(), lambda a, c: np.cos(a).sum()),
     ("mean", lambda t, c: t.mean(), lambda a, c: a.mean()),
-    ("l2", lambda t, c: t.l2_norm(), lambda a, c: np.sqrt((a * a).sum())),
 ]
 
 
 @pytest.mark.parametrize("name,tf,nf", ELEMENTWISE_CASES, ids=[c[0] for c in ELEMENTWISE_CASES])
 def test_elementwise_grads(name, tf, nf, rng):
-    x = rng.standard_normal((4, 5)) + 2.5  # shifted away from 0 for div/sqrt safety
+    x = rng.standard_normal((4, 5)) + 2.5
     c = rng.standard_normal((4, 5)) + 2.0
     fd = finite_diff_grad(lambda a: nf(a, c), [x], 0)
     ad = autodiff_grad(lambda t: tf(t, Tensor(c, "f64")), [x], 0)
     assert rel_err(ad, fd) < 1e-5
-
-
-def test_sqrt_l1_abs_grads(rng):
-    x = np.abs(rng.standard_normal((3, 4))) + 0.5
-    check_grad(lambda t: t.sqrt().sum(), lambda a: np.sqrt(a).sum(), [x])
-    check_grad(lambda t: t.l1_norm(), lambda a: np.abs(a).sum(), [x])
 
 
 def test_concat_split_transpose_grads(rng):
@@ -278,7 +272,8 @@ def test_concat_split_transpose_grads(rng):
     def tf(x, y):
         joined = concat([x, y], axis=0)
         parts = split(joined, [2, 3], axis=0)
-        return (parts[0].transpose(1, 0) ** 2).sum() + parts[1].sum()
+        top = parts[0].transpose(1, 0)
+        return (top * top).sum() + parts[1].sum()
 
     def nf(x, y):
         j = np.concatenate([x, y], 0)
@@ -319,7 +314,11 @@ def test_rotary_isometry_and_grad(rng):
         rot = np.stack([-ar[..., 1], ar[..., 0]], axis=-1).reshape(5, 8)
         return ((a * cos + rot * sin) ** 2).sum()
 
-    check_grad(lambda t: (apply_rotary(t, cos, sin) ** 2).sum(), nf, [x])
+    def tf(t):
+        y = apply_rotary(t, cos, sin)
+        return (y * y).sum()
+
+    check_grad(tf, nf, [x])
 
 
 def test_sinusoid_shape_and_range():
@@ -355,3 +354,36 @@ def test_serialize_bad_magic():
     with pytest.raises(CheckpointError):
         nm.read_tensor(io.BytesIO(b"XXXX" + b"\x00" * 16))
 
+
+def test_operator_set_is_closed(monkeypatch):
+    # the ops training and CFG sampling emit are the ops criterion 1 checks,
+    # plus only the ``sum`` reduction its gradient cases are built on
+    from lumina_mini.model import ModelConfig
+    from lumina_mini.sampler import GuidanceConfig, SamplerConfig, sample
+    from lumina_mini.selfcheck import criterion_01_autodiff_soundness
+    from lumina_mini.synthdata import build_vocabulary, encode_prompt, generate_scene
+    from lumina_mini.trainer import StagePlan, fresh_state, run_stage
+
+    seen = set()
+    from_op = Tensor._from_op
+
+    def spy(data, parents, op, backward):
+        seen.add(op)
+        return from_op(data, parents, op, backward)
+
+    monkeypatch.setattr(Tensor, "_from_op", staticmethod(spy))
+    cfg = ModelConfig(dim=32, heads=4, kv_heads=2, layers=1, text_processor_layers=1,
+                      image_processor_layers=1, axes_split=(4, 2, 2))
+    state = fresh_state(cfg, seed=0)
+    vocab = build_vocabulary()
+    plan = StagePlan(resolution=16, steps=1, batch_size=2, lambda_aux=1.0)
+    run_stage(state, plan, [generate_scene(i) for i in range(4)], vocab)
+    sample(state.params, encode_prompt(vocab.encode(["red", "circle"]), "A", vocab),
+           GuidanceConfig(w=4.0, renorm=True), SamplerConfig(steps=2), 0, resolution=16,
+           uncond_tokens=encode_prompt([], "A", vocab))
+    program = set(seen)
+    seen.clear()
+    assert criterion_01_autodiff_soundness()[0]
+    checked = set(seen)
+    assert program <= checked, program - checked
+    assert checked - program == {"sum"}

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from lumina_mini.errors import CheckpointError, ConfigError
+from lumina_mini.errors import CheckpointError, ConfigError, UsageError
 from lumina_mini.model import ModelConfig, save_checkpoint
 from lumina_mini.numerics import Tensor
 from lumina_mini.synthdata import build_hierarchical_dataset, build_vocabulary
 from lumina_mini.trainer import (
     MetricsLog,
     StagePlan,
+    clip_grad_norm,
     fresh_state,
     load_state,
     run_pipeline,
@@ -86,6 +87,23 @@ class TestRunStage:
         state = fresh_state(small_config(), seed=6)
         with pytest.raises(ConfigError):
             run_stage(state, quick_plan(resolution=15), tiny_dataset.tier(1), vocab)
+
+
+class TestClipGradNorm:
+    def test_scales_to_max_norm(self):
+        store = fresh_state(small_config(), seed=2).params
+        store.grad[...] = 1.0
+        norm = clip_grad_norm(store, 0.5)
+        assert norm == pytest.approx(np.sqrt(store.grad.size))
+        assert np.sqrt(np.square(store.grad, dtype=np.float64).sum()) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("max_norm", [0.0, -1.0, float("nan")])
+    def test_nonpositive_max_norm_rejected(self, max_norm):
+        store = fresh_state(small_config(), seed=2).params
+        store.grad[...] = 1.0
+        with pytest.raises(UsageError, match="max_norm"):
+            clip_grad_norm(store, max_norm)
+        assert np.all(store.grad == 1.0)
 
 
 class TestTransfer:
